@@ -168,43 +168,53 @@ def tokenize(images, params: BackboneParams, cfg: BackboneConfig) -> Tensor:
     return z.select(0, 0) if single else z
 
 
-def msa_forward(z: Tensor, blk: BlockParams, heads: int) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product multi-head self-attention.
+def msa_forward(zq: Tensor, zkv: Tensor, blk: BlockParams, heads: int) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product multi-head attention of query tokens over key/value tokens.
 
-    Returns (output, attention); attention rows are softmax-normalized and
-    shaped [heads,T,T] (or [B,heads,T,T] for batched input).
+    Self-attention passes the same tensor as ``zq`` and ``zkv``; a caller that
+    reads only some output rows passes just those rows as ``zq``. Both are
+    [T,d] or both [B,T,d]. Returns (output, attention): the output has
+    ``zq``'s shape, and attention rows are softmax-normalized and shaped
+    [heads,Tq,Tkv] (or [B,heads,Tq,Tkv] for batched input).
     """
-    zb, single = _as_batched(z)
-    b, t, _ = zb.shape
+    qb, single = _as_batched(zq)
+    kvb, kv_single = _as_batched(zkv)
+    if kv_single != single or kvb.shape[0] != qb.shape[0]:
+        raise ShapeError(f"query tokens {zq.shape} and key/value tokens {zkv.shape} disagree")
+    b, tq, _ = qb.shape
+    tkv = kvb.shape[1]
     proj = blk.wq.shape[1]
     if proj % heads != 0:
         raise ShapeError(f"attention width {proj} not divisible by {heads} heads")
     hd = proj // heads
     scale = 1.0 / float(np.sqrt(hd))
 
-    def split(x: Tensor) -> Tensor:  # [B,T,proj] -> [B,h,T,hd]
-        return transpose(reshape(x, (b, t, heads, hd)), (0, 2, 1, 3))
+    def split(x: Tensor, t: int, axes) -> Tensor:  # [B,t,proj] -> heads-major layout
+        return transpose(reshape(x, (b, t, heads, hd)), axes)
 
-    q = split(matmul(zb, blk.wq))
-    k = split(matmul(zb, blk.wk))
-    v = split(matmul(zb, blk.wv))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale  # [B,h,T,T]
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # [B,h,T,hd]
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t, proj))
+    q = split(matmul(qb, blk.wq), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
+    k_t = split(matmul(kvb, blk.wk), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
+    v = split(matmul(kvb, blk.wv), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
+    attn = softmax(matmul(q, k_t) * scale, axis=-1)  # [B,h,Tq,Tkv]
+    ctx = matmul(attn, v)  # [B,h,Tq,hd]
+    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, proj))
     out = matmul(merged, blk.wo)
     if single:
         return out.select(0, 0), attn.select(0, 0)
     return out, attn
 
 
+def mlp_residual(zbar: Tensor, blk: BlockParams, eps: float = LN_EPS) -> Tensor:
+    """The block's second half: zbar + MLP(LN2(zbar)), row by row."""
+    h = layer_norm(zbar, blk.ln2_gamma, blk.ln2_beta, eps)
+    return zbar + matmul(gelu(matmul(h, blk.mlp_w1)), blk.mlp_w2)
+
+
 def block_forward(z: Tensor, blk: BlockParams, heads: int, eps: float = LN_EPS) -> tuple[Tensor, Tensor]:
     """One pre-norm transformer block; shape preserved. Returns (tokens, attention)."""
-    attn_out, attn = msa_forward(layer_norm(z, blk.ln1_gamma, blk.ln1_beta, eps), blk, heads)
-    zbar = z + attn_out
-    h = layer_norm(zbar, blk.ln2_gamma, blk.ln2_beta, eps)
-    mlp = matmul(gelu(matmul(h, blk.mlp_w1)), blk.mlp_w2)
-    return zbar + mlp, attn
+    normed = layer_norm(z, blk.ln1_gamma, blk.ln1_beta, eps)
+    attn_out, attn = msa_forward(normed, normed, blk, heads)
+    return mlp_residual(z + attn_out, blk, eps), attn
 
 
 Hook = Callable[[int, Tensor, Tensor], Optional[Tensor]]

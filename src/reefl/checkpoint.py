@@ -11,13 +11,14 @@ file is byte-reproducible.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import BackboneConfig, BackboneParams, BlockParams
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .federation import GlobalModel, named_global_tensors
 from .numerics import Tensor
 from .ree import ClassifierParams, ExitSchedule, ReeParams
@@ -43,8 +44,25 @@ def _model_config_blob(model: GlobalModel) -> str:
     return "\n".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _parse_config_blob(blob: str) -> tuple[BackboneConfig, ExitSchedule]:
-    fields = dict(line.split("=", 1) for line in blob.splitlines() if line)
+def _decode(raw: bytes, offset: int, what: str) -> str:
+    """UTF-8 text of ``raw``, which starts at byte ``offset`` of the file."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8 at offset {offset + exc.start}") from exc
+
+
+def _parse_config_blob(raw: bytes, offset: int) -> tuple[BackboneConfig, ExitSchedule]:
+    """Parse the config blob, which starts at byte ``offset`` of the file."""
+    fields = {}
+    pos = offset
+    for line in raw.split(b"\n"):
+        if line:
+            key, sep, value = _decode(line, pos, "config blob").partition("=")
+            if not sep:
+                raise FormatError(f"config blob line without '=' at offset {pos}: {line!r}")
+            fields[key] = value
+        pos += len(line) + 1
     try:
         cfg = BackboneConfig(
             depth=int(fields["depth"]),
@@ -60,8 +78,8 @@ def _parse_config_blob(blob: str) -> tuple[BackboneConfig, ExitSchedule]:
             cfg.depth,
             bool(int(fields["ree_everywhere"])),
         )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad checkpoint config blob: {exc}") from exc
+    except (KeyError, ValueError, ConfigError) as exc:
+        raise FormatError(f"bad checkpoint config blob at offset {offset}: {exc}") from exc
     return cfg, schedule
 
 
@@ -105,7 +123,7 @@ def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
     blob_len = read_u32()
     if len(blob) < offset + blob_len:
         raise FormatError(f"truncated config blob at offset {offset}")
-    cfg, schedule = _parse_config_blob(blob[offset : offset + blob_len].decode())
+    cfg, schedule = _parse_config_blob(blob[offset : offset + blob_len], offset)
     offset += blob_len
 
     tensors: dict[str, np.ndarray] = {}
@@ -113,11 +131,11 @@ def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
         name_len = read_u32()
         if len(blob) < offset + name_len:
             raise FormatError(f"truncated tensor name at offset {offset}")
-        name = blob[offset : offset + name_len].decode()
+        name = _decode(blob[offset : offset + name_len], offset, "tensor name")
         offset += name_len
         rank = read_u32()
         dims = tuple(read_u32() for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # Python ints: huge dims must not wrap around
         nbytes = 4 * count
         if len(blob) < offset + nbytes:
             raise FormatError(

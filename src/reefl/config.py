@@ -189,7 +189,10 @@ def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentCon
     """
     values = {key: default for key, (_, default) in REGISTRY.items()}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

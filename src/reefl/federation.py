@@ -464,12 +464,3 @@ def run_experiment_with_state(cfg: ExperimentConfig):
     reports = [run_round(state, t) for t in range(1, cfg["federation.total_rounds"] + 1)]
     return reports, state
 
-
-def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list:
-    """Full round loop; persists metrics.csv when an output dir is given."""
-    reports, state = run_experiment_with_state(cfg)
-    if output_dir is not None:
-        write_metrics_csv(
-            os.path.join(output_dir, "metrics.csv"), reports, state.model.schedule.num_exits
-        )
-    return reports

@@ -19,7 +19,6 @@ from ..errors import NonFiniteError, ShapeError
 DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
-finite_checks = True
 
 
 @contextmanager
@@ -34,13 +33,9 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _guard_finite(data: np.ndarray) -> None:
     # min/max propagate NaN and catch +/-Inf without allocating a bool mask
-    if finite_checks and not (math.isfinite(data.min()) and math.isfinite(data.max())):
+    if not (math.isfinite(data.min()) and math.isfinite(data.max())):
         raise NonFiniteError("operation produced NaN or Inf")
 
 
@@ -321,11 +316,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(t.data, axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
 
     def make(out):
         def run():
             if t.requires_grad:
+                inverse = sorted(range(len(axes)), key=axes.__getitem__)
                 t._accumulate(np.transpose(out.grad, inverse))
 
         return run

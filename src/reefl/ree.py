@@ -4,8 +4,10 @@ A single lightweight transformer block is applied recurrently over the
 growing queue of class tokens [meta, cls_1, ..., cls_l]. Its first output
 token feeds the shared classifier additively with the current class token;
 its last output token replaces the backbone's class token before the next
-block (feature modulation). The same block parameters serve every depth,
-so one gradient step moves all applications at once.
+block (feature modulation). No other output token is read, so the block
+attends from those two rows only, with keys and values over the whole
+queue. The same block parameters serve every depth, so one gradient step
+moves all applications at once.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import numpy as np
 
 from .backbone import (
     BlockParams,
-    block_forward,
     init_block,
+    mlp_residual,
     msa_forward,
     prefix_forward,
     trunc_normal,
@@ -132,20 +134,28 @@ def init_classifier(dim: int, num_classes: int, rng: np.random.Generator, dtype=
 # -- core ops -----------------------------------------------------------------
 
 
-def ree_forward(queue: list, ree: ReeParams) -> list:
-    """Run the shared block over the token queue.
+def ree_forward(queue: list, ree: ReeParams) -> tuple[Tensor, Tensor]:
+    """Run the shared block over the token queue; return (m_0, m_last).
 
     ``queue`` holds [B,d] tensors, meta slot first. Queue positions are
-    added rowwise before the block; returns the modulated tokens, one per
-    queue entry.
+    added rowwise before the block. Keys and values span the whole queue,
+    but queries, the attention output, both residuals, LN2 and the MLP run
+    only for the first and last queue rows: m_0 feeds the classifier and
+    m_last the modulation, and no other row is read.
     """
     q = len(queue)
     if q > ree.pos.shape[0]:
         raise ScheduleError(f"queue length {q} exceeds {ree.pos.shape[0]} queue slots")
-    seq = stack(queue, axis=1)  # [B,q,d]
-    seq = seq + narrow(ree.pos, 0, 0, q)
-    out, _ = block_forward(seq, ree.block, REE_HEADS)
-    return [out.select(1, i) for i in range(q)]
+    blk = ree.block
+    seq = stack(queue, axis=1) + narrow(ree.pos, 0, 0, q)  # [B,q,d]
+    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
+
+    def ends(x: Tensor) -> Tensor:  # rows 0 and q-1, [B,2,d]
+        return concat([narrow(x, 1, 0, 1), narrow(x, 1, q - 1, q)], axis=1)
+
+    attn_out, _ = msa_forward(ends(normed), normed, blk, REE_HEADS)
+    out = mlp_residual(ends(seq) + attn_out, blk)
+    return out.select(1, 0), out.select(1, 1)
 
 
 def classify_exit(m0: Tensor, zcls: Tensor, cls: ClassifierParams) -> Tensor:
@@ -215,13 +225,13 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
             return None
         zcls = z.select(1, 0)
         trace.queue.append(zcls)
-        m = ree_forward(trace.queue, view.ree)
-        trace.modulated[l] = (m[0], m[-1])
+        m0, m_last = ree_forward(trace.queue, view.ree)
+        trace.modulated[l] = (m0, m_last)
         if l in exit_set:
-            trace.exit_logits.append(classify_exit(m[0], zcls, view.classifier))
+            trace.exit_logits.append(classify_exit(m0, zcls, view.classifier))
             trace.exit_blocks.append(l)
         if modulation:
-            return modulate(z, m[-1])
+            return modulate(z, m_last)
         return None
 
     trace.activations = prefix_forward(view.backbone, images, budget, view.config, hook)
@@ -255,7 +265,7 @@ def attention_maps(trace: ForwardTrace, block: int, view) -> AttnMaps:
     def attend(query: Tensor) -> np.ndarray:
         seq = concat([reshape(query, (b, 1, d)), ctx], axis=1)
         normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
-        _, attn = msa_forward(normed, blk, view.config.heads)
+        _, attn = msa_forward(narrow(normed, 1, 0, 1), normed, blk, view.config.heads)
         return attn.data[:, :, 0, 1:].mean(axis=1)
 
     with no_grad():

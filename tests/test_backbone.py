@@ -11,8 +11,8 @@ from reefl.backbone import (
     prefix_forward,
     tokenize,
 )
-from reefl.errors import BudgetError, ConfigError
-from reefl.numerics import Tensor, cross_entropy, grad_check, tsum
+from reefl.errors import BudgetError, ConfigError, ShapeError
+from reefl.numerics import Tensor, concat, cross_entropy, grad_check, narrow, tsum
 
 
 def tiny_cfg(depth=2, dim=8, heads=2, image=8, patch=4):
@@ -105,7 +105,7 @@ def test_msa_single_token_attention():
     rng = np.random.default_rng(7)
     blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
     z = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
-    _, attn = msa_forward(z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, heads=2)
     np.testing.assert_allclose(attn.data, 1.0)
 
 
@@ -114,7 +114,7 @@ def test_msa_identical_keys_uniform_rows():
     blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
     row = rng.standard_normal(8).astype(np.float32)
     z = Tensor(np.tile(row, (5, 1)))
-    _, attn = msa_forward(z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, heads=2)
     np.testing.assert_allclose(attn.data, 0.2, atol=1e-6)
 
 
@@ -122,8 +122,22 @@ def test_msa_rows_sum_to_one():
     rng = np.random.default_rng(9)
     blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
     z = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
-    _, attn = msa_forward(z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, heads=2)
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_msa_query_rows_match_self_attention_rows():
+    rng = np.random.default_rng(11)
+    blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8, dtype=np.float64)
+    z = Tensor(rng.standard_normal((3, 5, 8)), dtype=np.float64)
+    full_out, full_attn = msa_forward(z, z, blk, heads=2)
+    rows = concat([narrow(z, 1, 0, 1), narrow(z, 1, 4, 5)], axis=1)
+    out, attn = msa_forward(rows, z, blk, heads=2)
+    assert out.shape == (3, 2, 8) and attn.shape == (3, 2, 2, 5)
+    np.testing.assert_allclose(out.data, full_out.data[:, [0, 4]], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(attn.data, full_attn.data[:, :, [0, 4]], rtol=1e-12, atol=1e-14)
+    with pytest.raises(ShapeError):
+        msa_forward(narrow(z, 0, 0, 1), z, blk, heads=2)
 
 
 def test_prefix_full_equals_sequential():

@@ -1,5 +1,12 @@
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import reefl
 from reefl.cli import main
 from reefl.config import parse_config
 from reefl.errors import ConfigError
@@ -171,3 +178,67 @@ def test_gen_data_and_partition(tmp_path):
     lines = manifest.read_text().strip().splitlines()
     assert lines[0] == "client_id,example_index"
     assert len(lines) == 1 + 60
+
+
+# -- malformed inputs end in an error line, never a traceback -----------------------
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reefl.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "reefl.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_clean_failure(proc, code, message):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+
+
+def checkpoint_header(blob: bytes) -> bytes:
+    return b"REEFLCK1" + struct.pack("<II", 1, len(blob)) + blob  # blob starts at offset 16
+
+
+def blob_line_without_equals(good):
+    return checkpoint_header(b"depth=4\nnonsense\n"), "without '=' at offset 24"
+
+
+def blob_bad_utf8(good):
+    return checkpoint_header(b"depth=4\ndim=\xff8\n"), "config blob is not UTF-8 at offset 28"
+
+
+def tensor_name_bad_utf8(good):
+    at = good.index(b"classifier.")
+    return good[:at] + b"\xff" + good[at + 1:], f"tensor name is not UTF-8 at offset {at}"
+
+
+def tensor_dims_overflow_int64(good):
+    (blob_len,) = struct.unpack_from("<I", good, 12)
+    start = 16 + blob_len
+    tensor = struct.pack("<I", 1) + b"x" + struct.pack("<4I", 3, 2**31, 2**31, 4)
+    return good[:start] + tensor, f"truncated tensor 'x' at offset {start + 21}"
+
+
+@pytest.mark.parametrize("corrupt", [
+    blob_line_without_equals, blob_bad_utf8, tensor_name_bad_utf8, tensor_dims_overflow_int64,
+])
+def test_inspect_malformed_checkpoint_exit_1(tmp_path, corrupt):
+    out = tmp_path / "run"
+    assert main(tiny_args(out, **{"federation.total_rounds": 1})) == 0
+    blob, message = corrupt((out / "checkpoint.ckpt").read_bytes())
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    assert_clean_failure(run_cli("inspect-checkpoint", str(bad)), 1, message)
+
+
+def test_run_non_utf8_config_exit_2(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"train.lr0=0.01\ntrain.tau=\xff\n")
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(path), f"--output_dir={out}")
+    assert_clean_failure(proc, 2, "not UTF-8 text (byte 25)")
+    assert not out.exists()

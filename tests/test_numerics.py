@@ -223,6 +223,18 @@ def test_gelu_at_zero():
     assert gelu(Tensor([0.0])).item() == 0.0
 
 
+def test_gelu_float32_matches_float64_closed_form():
+    x = np.linspace(-10.0, 10.0, 20001, dtype=np.float32)
+    got = gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    xd = x.astype(np.float64)
+    want = 0.5 * xd * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (xd + 0.044715 * xd**3)))
+    # a few float32 roundings, scaled by the output's magnitude (about |x|)
+    tol = 4 * np.finfo(np.float32).eps * np.maximum(np.abs(xd), 1.0)
+    assert (np.abs(got - want) <= tol).all()
+    assert got[0] == 0.0 and got[-1] == np.float32(10.0)
+
+
 def test_gelu_grad_matches_fd():
     rng = np.random.default_rng(10)
     x = param(rng, 3, 3)

@@ -3,16 +3,18 @@ import pytest
 
 import reefl.ree as ree_mod
 from conftest import make_view
-from reefl.backbone import msa_forward
+from reefl.backbone import block_forward, msa_forward
 from reefl.errors import BudgetError, InputError, ScheduleError
-from reefl.numerics import Tensor, concat, grad_check, layer_norm, narrow, reshape, tsum
+from reefl.numerics import Tensor, concat, grad_check, layer_norm, narrow, reshape, stack, tsum
 from reefl.ree import (
+    REE_HEADS,
     attention_maps,
     classify_exit,
     forward_with_exits,
     init_classifier,
     init_ree,
     modulate,
+    named_ree_tensors,
     ree_forward,
     ree_mlp_hidden,
 )
@@ -49,9 +51,51 @@ def test_ree_residual_zeroed_passthrough():
     ree.block.wo.data[:] = 0.0
     ree.block.mlp_w2.data[:] = 0.0
     queue = [Tensor(rng.standard_normal((1, 8)).astype(np.float32)) for _ in range(3)]
-    out = ree_forward(queue, ree)
-    for i, m in enumerate(out):
-        np.testing.assert_allclose(m.data, queue[i].data + ree.pos.data[i], atol=1e-6)
+    m0, m_last = ree_forward(queue, ree)
+    np.testing.assert_allclose(m0.data, queue[0].data + ree.pos.data[0], atol=1e-6)
+    np.testing.assert_allclose(m_last.data, queue[-1].data + ree.pos.data[2], atol=1e-6)
+
+
+def full_queue_reference(queue, ree):
+    """Rows 0 and q-1 of the shared block run over every queue row."""
+    q = len(queue)
+    seq = stack(queue, axis=1) + narrow(ree.pos, 0, 0, q)
+    out, _ = block_forward(seq, ree.block, REE_HEADS)
+    return out.select(1, 0), out.select(1, q - 1)
+
+
+def random_ree(rng, dim, pos_rows):
+    ree = init_ree(dim, pos_rows=pos_rows, rng=rng, dtype=np.float64)
+    ree.block.wo.data[:] = rng.standard_normal(ree.block.wo.shape) * 0.1
+    ree.block.mlp_w2.data[:] = rng.standard_normal(ree.block.mlp_w2.shape) * 0.1
+    return ree
+
+
+def test_ree_forward_matches_full_queue_block():
+    rng = np.random.default_rng(40)
+    ree = random_ree(rng, dim=8, pos_rows=13)
+    queue = [Tensor(rng.standard_normal((3, 8)), dtype=np.float64) for _ in range(13)]
+    for q in range(2, 14):
+        got = ree_forward(queue[:q], ree)
+        want = full_queue_reference(queue[:q], ree)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.data, w.data, rtol=1e-12, atol=1e-12, err_msg=f"q={q}")
+
+
+def test_ree_forward_grad_through_middle_rows():
+    rng = np.random.default_rng(41)
+    ree = random_ree(rng, dim=6, pos_rows=5)
+    queue = [Tensor(rng.standard_normal((2, 6)), requires_grad=True, dtype=np.float64) for _ in range(4)]
+    w0, w1 = (Tensor(rng.standard_normal((2, 6)), dtype=np.float64) for _ in range(2))
+
+    def loss():
+        m0, m_last = ree_forward(queue, ree)
+        return tsum(m0 * w0) + tsum(m_last * w1)
+
+    params = named_ree_tensors(ree)
+    params.update({f"queue{i}": t for i, t in enumerate(queue)})
+    report = grad_check(loss, params)
+    assert report.passed, report
 
 
 def test_recurrent_applications_share_gradients():
@@ -242,7 +286,8 @@ def test_attention_maps_match_direct_recompute():
     prev = trace.activations[1]
     blk = view.backbone.blocks[1]
     seq = concat([reshape(prev.select(1, 0), (2, 1, 8)), narrow(prev, 1, 1, prev.shape[1])], axis=1)
-    _, attn = msa_forward(layer_norm(seq, blk.ln1_gamma, blk.ln1_beta), blk, view.config.heads)
+    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
+    _, attn = msa_forward(normed, normed, blk, view.config.heads)
     want = attn.data[:, :, 0, 1:].mean(axis=1)
     np.testing.assert_allclose(maps.query_x, want, atol=1e-6)
 
@@ -257,7 +302,8 @@ def test_attention_maps_single_head_mean_is_identity():
     prev = trace.activations[0]
     blk = view.backbone.blocks[0]
     seq = concat([reshape(prev.select(1, 0), (2, 1, 8)), narrow(prev, 1, 1, prev.shape[1])], axis=1)
-    _, direct = msa_forward(layer_norm(seq, blk.ln1_gamma, blk.ln1_beta), blk, 1)
+    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
+    _, direct = msa_forward(normed, normed, blk, 1)
     np.testing.assert_allclose(maps.query_x, direct.data[:, 0, 0, 1:], atol=1e-6)
 
 
