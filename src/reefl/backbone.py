@@ -3,10 +3,14 @@
 Tokenizer + positional embeddings + class token, followed by a stack of
 architecturally identical blocks (pre-norm attention and MLP, both
 residual). A client with budget r runs only blocks 1..r.
+
+Parameters live in one flat ``name -> Tensor`` dict: ``patch_embed``,
+``pos_embed``, ``class_token`` and ``block{l}.{field}``; forward functions
+read a block's tensors under its name prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,64 +69,53 @@ class BackboneConfig:
         return self.image_channels * self.patch_size * self.patch_size
 
 
-@dataclass
-class BlockParams:
-    """One transformer block: pre-norm MSA and pre-norm MLP, both residual."""
-
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    mlp_w1: Tensor
-    mlp_w2: Tensor
-
-
-@dataclass
-class BackboneParams:
-    patch_embed: Tensor
-    pos_embed: Tensor
-    class_token: Tensor
-    blocks: list = field(default_factory=list)
-
-
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD, dtype=np.float32) -> np.ndarray:
     vals = rng.normal(0.0, std, size=shape)
     return np.clip(vals, -2 * std, 2 * std).astype(dtype)
 
 
-def init_block(rng: np.random.Generator, dim: int, attn_dim: int, mlp_hidden: int, dtype=np.float32) -> BlockParams:
-    ones = lambda n: Tensor(np.ones(n, dtype=dtype), requires_grad=True)
-    zeros = lambda n: Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
-    w = lambda *s: Tensor(trunc_normal(rng, s, dtype=dtype), requires_grad=True)
-    return BlockParams(
-        ln1_gamma=ones(dim),
-        ln1_beta=zeros(dim),
-        wq=w(dim, attn_dim),
-        wk=w(dim, attn_dim),
-        wv=w(dim, attn_dim),
-        wo=w(attn_dim, dim),
-        ln2_gamma=ones(dim),
-        ln2_beta=zeros(dim),
-        mlp_w1=w(dim, mlp_hidden),
-        mlp_w2=w(mlp_hidden, dim),
-    )
+def init_block(rng: np.random.Generator, prefix: str, dim: int, attn_dim: int, mlp_hidden: int, dtype=np.float32) -> dict[str, Tensor]:
+    """One pre-norm block (MSA then MLP, both residual) as ``prefix + field`` -> tensor.
+
+    This is the one list of block fields; weights are drawn in field order.
+    """
+    ones = lambda: np.ones(dim, dtype=dtype)
+    zeros = lambda: np.zeros(dim, dtype=dtype)
+    w = lambda *s: trunc_normal(rng, s, dtype=dtype)
+    fields = {
+        "ln1_gamma": ones(), "ln1_beta": zeros(),
+        "wq": w(dim, attn_dim), "wk": w(dim, attn_dim), "wv": w(dim, attn_dim), "wo": w(attn_dim, dim),
+        "ln2_gamma": ones(), "ln2_beta": zeros(),
+        "mlp_w1": w(dim, mlp_hidden), "mlp_w2": w(mlp_hidden, dim),
+    }
+    return {prefix + f: Tensor(v, requires_grad=True) for f, v in fields.items()}
 
 
-def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32) -> BackboneParams:
+def block_prefix(l: int) -> str:
+    """Name prefix of backbone block ``l`` (1-indexed, matching budgets)."""
+    return f"block{l}."
+
+
+def covering_budget(name: str) -> int:
+    """Lowest client budget that holds parameter ``name``.
+
+    Block l's parameters need budget l; every other name (embeddings, the
+    shared exit stack) is held by every budget.
+    """
+    group, _, _ = name.partition(".")
+    return int(group[len("block"):]) if group.startswith("block") else 1
+
+
+def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
     d = cfg.dim
-    return BackboneParams(
-        patch_embed=Tensor(trunc_normal(rng, (cfg.patch_dim, d), dtype=dtype), requires_grad=True),
-        pos_embed=Tensor(trunc_normal(rng, (cfg.num_tokens, d), dtype=dtype), requires_grad=True),
-        class_token=Tensor(trunc_normal(rng, (d,), dtype=dtype), requires_grad=True),
-        blocks=[
-            init_block(rng, d, attn_dim=d, mlp_hidden=MLP_RATIO * d, dtype=dtype)
-            for _ in range(cfg.depth)
-        ],
-    )
+    params = {
+        "patch_embed": Tensor(trunc_normal(rng, (cfg.patch_dim, d), dtype=dtype), requires_grad=True),
+        "pos_embed": Tensor(trunc_normal(rng, (cfg.num_tokens, d), dtype=dtype), requires_grad=True),
+        "class_token": Tensor(trunc_normal(rng, (d,), dtype=dtype), requires_grad=True),
+    }
+    for l in range(1, cfg.depth + 1):
+        params.update(init_block(rng, block_prefix(l), d, attn_dim=d, mlp_hidden=MLP_RATIO * d, dtype=dtype))
+    return params
 
 
 # -- forward ---------------------------------------------------------------
@@ -147,7 +140,7 @@ def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(b, hp * wp, c * patch_size * patch_size))
 
 
-def tokenize(images, params: BackboneParams, cfg: BackboneConfig) -> Tensor:
+def tokenize(images, params: dict, cfg: BackboneConfig) -> Tensor:
     """Project patches, prepend the class token, add positional embeddings.
 
     Accepts one image [C,H,W] (returns [(n+1),d]) or a batch [B,C,H,W]
@@ -159,18 +152,20 @@ def tokenize(images, params: BackboneParams, cfg: BackboneConfig) -> Tensor:
         arr = arr[None]
     if arr.ndim != 4:
         raise ShapeError(f"expected [C,H,W] or [B,C,H,W], got {arr.shape}")
-    patches = extract_patches(arr.astype(params.patch_embed.dtype, copy=False), cfg.patch_size)
-    tokens = matmul(Tensor(patches), params.patch_embed)  # [B,n,d]
+    patch_embed = params["patch_embed"]
+    patches = extract_patches(arr.astype(patch_embed.dtype, copy=False), cfg.patch_size)
+    tokens = matmul(Tensor(patches), patch_embed)  # [B,n,d]
     b = tokens.shape[0]
-    cls = broadcast_to(reshape(params.class_token, (1, 1, cfg.dim)), (b, 1, cfg.dim))
+    cls = broadcast_to(reshape(params["class_token"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
     z = concat([cls, tokens], axis=1)
-    z = z + params.pos_embed
+    z = z + params["pos_embed"]
     return z.select(0, 0) if single else z
 
 
-def msa_forward(zq: Tensor, zkv: Tensor, blk: BlockParams, heads: int) -> tuple[Tensor, Tensor]:
+def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product multi-head attention of query tokens over key/value tokens.
 
+    Reads the block's ``wq``/``wk``/``wv``/``wo`` under ``prefix``.
     Self-attention passes the same tensor as ``zq`` and ``zkv``; a caller that
     reads only some output rows passes just those rows as ``zq``. Both are
     [T,d] or both [B,T,d]. Returns (output, attention): the output has
@@ -183,7 +178,7 @@ def msa_forward(zq: Tensor, zkv: Tensor, blk: BlockParams, heads: int) -> tuple[
         raise ShapeError(f"query tokens {zq.shape} and key/value tokens {zkv.shape} disagree")
     b, tq, _ = qb.shape
     tkv = kvb.shape[1]
-    proj = blk.wq.shape[1]
+    proj = params[prefix + "wq"].shape[1]
     if proj % heads != 0:
         raise ShapeError(f"attention width {proj} not divisible by {heads} heads")
     hd = proj // heads
@@ -192,36 +187,36 @@ def msa_forward(zq: Tensor, zkv: Tensor, blk: BlockParams, heads: int) -> tuple[
     def split(x: Tensor, t: int, axes) -> Tensor:  # [B,t,proj] -> heads-major layout
         return transpose(reshape(x, (b, t, heads, hd)), axes)
 
-    q = split(matmul(qb, blk.wq), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
-    k_t = split(matmul(kvb, blk.wk), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
-    v = split(matmul(kvb, blk.wv), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
+    q = split(matmul(qb, params[prefix + "wq"]), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
+    k_t = split(matmul(kvb, params[prefix + "wk"]), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
+    v = split(matmul(kvb, params[prefix + "wv"]), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
     attn = softmax(matmul(q, k_t) * scale, axis=-1)  # [B,h,Tq,Tkv]
     ctx = matmul(attn, v)  # [B,h,Tq,hd]
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, proj))
-    out = matmul(merged, blk.wo)
+    out = matmul(merged, params[prefix + "wo"])
     if single:
         return out.select(0, 0), attn.select(0, 0)
     return out, attn
 
 
-def mlp_residual(zbar: Tensor, blk: BlockParams, eps: float = LN_EPS) -> Tensor:
+def mlp_residual(zbar: Tensor, params: dict, prefix: str, eps: float = LN_EPS) -> Tensor:
     """The block's second half: zbar + MLP(LN2(zbar)), row by row."""
-    h = layer_norm(zbar, blk.ln2_gamma, blk.ln2_beta, eps)
-    return zbar + matmul(gelu(matmul(h, blk.mlp_w1)), blk.mlp_w2)
+    h = layer_norm(zbar, params[prefix + "ln2_gamma"], params[prefix + "ln2_beta"], eps)
+    return zbar + matmul(gelu(matmul(h, params[prefix + "mlp_w1"])), params[prefix + "mlp_w2"])
 
 
-def block_forward(z: Tensor, blk: BlockParams, heads: int, eps: float = LN_EPS) -> tuple[Tensor, Tensor]:
-    """One pre-norm transformer block; shape preserved. Returns (tokens, attention)."""
-    normed = layer_norm(z, blk.ln1_gamma, blk.ln1_beta, eps)
-    attn_out, attn = msa_forward(normed, normed, blk, heads)
-    return mlp_residual(z + attn_out, blk, eps), attn
+def block_forward(z: Tensor, params: dict, prefix: str, heads: int, eps: float = LN_EPS) -> tuple[Tensor, Tensor]:
+    """The pre-norm block named ``prefix``; shape preserved. Returns (tokens, attention)."""
+    normed = layer_norm(z, params[prefix + "ln1_gamma"], params[prefix + "ln1_beta"], eps)
+    attn_out, attn = msa_forward(normed, normed, params, prefix, heads)
+    return mlp_residual(z + attn_out, params, prefix, eps), attn
 
 
-Hook = Callable[[int, Tensor, Tensor], Optional[Tensor]]
+Hook = Callable[[int, Tensor], Optional[Tensor]]
 
 
 def prefix_forward(
-    params: BackboneParams,
+    params: dict,
     images,
     upto_block: int,
     cfg: BackboneConfig,
@@ -229,37 +224,20 @@ def prefix_forward(
 ) -> list[Tensor]:
     """Run tokenize then blocks 1..upto_block.
 
-    After each block the hook is invoked as hook(l, tokens, attention) and
-    may return replacement tokens (e.g. with the class-token row swapped)
-    that feed the next block; the returned activations are the raw block
-    outputs, index 0 holding the tokenized input.
+    After each block the hook is invoked as hook(l, tokens) and may return
+    replacement tokens (e.g. with the class-token row swapped) that feed
+    the next block; the returned activations are the raw block outputs,
+    index 0 holding the tokenized input.
     """
-    depth = len(params.blocks)
-    if not 1 <= upto_block <= depth:
-        raise BudgetError(f"block budget {upto_block} outside [1, {depth}]")
+    if not 1 <= upto_block <= cfg.depth:
+        raise BudgetError(f"block budget {upto_block} outside [1, {cfg.depth}]")
     z = tokenize(images, params, cfg)
     activations = [z]
     for l in range(1, upto_block + 1):
-        z, attn = block_forward(z, params.blocks[l - 1], cfg.heads)
+        z, _ = block_forward(z, params, block_prefix(l), cfg.heads)
         activations.append(z)
         if hook is not None:
-            replacement = hook(l, z, attn)
+            replacement = hook(l, z)
             if replacement is not None:
                 z = replacement
     return activations
-
-
-def named_backbone_tensors(params: BackboneParams) -> dict[str, Tensor]:
-    """Flat name -> tensor view; block names are 1-indexed to match budgets."""
-    out = {
-        "patch_embed": params.patch_embed,
-        "pos_embed": params.pos_embed,
-        "class_token": params.class_token,
-    }
-    for l, blk in enumerate(params.blocks, start=1):
-        for fname in (
-            "ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-            "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_w2",
-        ):
-            out[f"block{l}.{fname}"] = getattr(blk, fname)
-    return out

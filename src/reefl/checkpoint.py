@@ -6,8 +6,10 @@ Layout (all integers little-endian):
     | values float32
 
 The config blob is the resolved ``key=value`` text needed to rebuild the
-model (depth, dims, schedule, ...). Tensor order is sorted by name so the
-file is byte-reproducible.
+model (depth, dims, schedule, ...). The tensors are the model's flat
+parameter dict, sorted by name so the file is byte-reproducible. Loading
+checks the tensor names and shapes against the layout the config blob
+implies: a missing, unknown or misshapen tensor is a ``FormatError``.
 """
 from __future__ import annotations
 
@@ -17,18 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneParams, BlockParams
+from .backbone import BackboneConfig
 from .errors import ConfigError, FormatError
-from .federation import GlobalModel, named_global_tensors
+from .federation import Model, init_global_model
 from .numerics import Tensor
-from .ree import ClassifierParams, ExitSchedule, ReeParams
+from .ree import ExitSchedule
 
 CHECKPOINT_MAGIC = b"REEFLCK1"
 CHECKPOINT_VERSION = 1
 _U32 = struct.Struct("<I")
 
 
-def _model_config_blob(model: GlobalModel) -> str:
+def _model_config_blob(model: Model) -> str:
     cfg, sched = model.config, model.schedule
     fields = {
         "depth": cfg.depth,
@@ -83,9 +85,9 @@ def _parse_config_blob(raw: bytes, offset: int) -> tuple[BackboneConfig, ExitSch
     return cfg, schedule
 
 
-def save_checkpoint(path, model: GlobalModel) -> None:
+def save_checkpoint(path, model: Model) -> None:
     blob = _model_config_blob(model).encode()
-    tensors = named_global_tensors(model)
+    tensors = model.params
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(_U32.pack(CHECKPOINT_VERSION))
@@ -146,44 +148,22 @@ def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
     return tensors, cfg, schedule
 
 
-def load_checkpoint(path) -> GlobalModel:
-    """Rebuild a GlobalModel from a checkpoint file."""
+def load_checkpoint(path) -> Model:
+    """Rebuild the global model, checking every tensor against the config's layout."""
     tensors, cfg, schedule = load_named_tensors(path)
-
-    def take(name: str) -> Tensor:
+    layout = init_global_model(cfg, schedule, np.random.default_rng(0)).params  # names and shapes only
+    unknown = sorted(set(tensors) - set(layout))
+    if unknown:
+        raise FormatError(f"checkpoint holds unknown tensor {unknown[0]!r}")
+    params = {}
+    for name, expected in layout.items():
         if name not in tensors:
             raise FormatError(f"checkpoint missing tensor {name!r}")
-        return Tensor(tensors[name], requires_grad=True)
-
-    blocks = []
-    for l in range(1, cfg.depth + 1):
-        blocks.append(
-            BlockParams(**{f: take(f"block{l}.{f}") for f in BlockParams.__dataclass_fields__})
-        )
-    model = GlobalModel(
-        backbone=BackboneParams(
-            patch_embed=take("patch_embed"),
-            pos_embed=take("pos_embed"),
-            class_token=take("class_token"),
-            blocks=blocks,
-        ),
-        ree=ReeParams(
-            block=BlockParams(
-                **{f: take(f"ree.{f}") for f in BlockParams.__dataclass_fields__}
-            ),
-            z_meta=take("ree.z_meta"),
-            pos=take("ree.pos"),
-        ),
-        classifier=ClassifierParams(
-            ln_gamma=take("classifier.ln_gamma"),
-            ln_beta=take("classifier.ln_beta"),
-            weight=take("classifier.weight"),
-            bias=take("classifier.bias"),
-        ),
-        schedule=schedule,
-        config=cfg,
-    )
-    return model
+        found = tensors[name]
+        if found.shape != expected.shape:
+            raise FormatError(f"tensor {name!r} has shape {found.shape}, expected {expected.shape}")
+        params[name] = Tensor(found, requires_grad=True)
+    return Model(params, cfg, schedule, cfg.depth)
 
 
 def describe_checkpoint(path) -> str:

@@ -19,7 +19,7 @@ from .config import REGISTRY, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
 from .data import PartitionSpec
 from .errors import ConfigError, InputError, ReeflError
-from .federation import full_view, run_experiment_with_state, write_metrics_csv
+from .federation import run_experiment_with_state, write_metrics_csv
 from .ree import attention_maps, forward_with_exits
 
 
@@ -64,15 +64,14 @@ def cmd_run(config_path, overrides) -> int:
 def cmd_attention(checkpoint_path, dataset_path, sample_ids, output) -> int:
     model = load_checkpoint(checkpoint_path)
     examples = load_dataset(dataset_path)
-    view = full_view(model)
     rows = []
     for sid in sample_ids:
         if not 0 <= sid < len(examples):
             raise InputError(f"sample id {sid} outside dataset of {len(examples)} examples")
         image = examples[sid].image[None]
-        trace = forward_with_exits(view, image, model.schedule, modulation=True)
+        trace = forward_with_exits(model, image, model.schedule, modulation=True)
         for block in range(1, model.config.depth + 1):
-            maps = attention_maps(trace, block, view)
+            maps = attention_maps(trace, block, model)
             for variant, arr in (("x", maps.query_x), ("m", maps.query_m), ("c", maps.query_c)):
                 if arr is None:
                     continue
@@ -156,7 +155,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.config, overrides)
         if args.command == "attention":
-            ids = [int(s) for s in args.samples.split(",") if s.strip()]
+            try:
+                ids = [int(s) for s in args.samples.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(f"--samples must be comma-separated integers, got {args.samples!r}") from None
             return cmd_attention(args.checkpoint, args.dataset, ids, args.output)
         if args.command == "inspect-checkpoint":
             return cmd_inspect(args.checkpoint)

@@ -1,11 +1,12 @@
 """Server-side orchestration: budgets, sampling, slicing, aggregation, rounds.
 
-Each round samples clients, hands every one a deep-copied prefix of the
-global model plus the shared exit stack, trains them (optionally in
+The model is one flat ``name -> Tensor`` dict (see ``Model``). Each round
+samples clients, hands every one a copy of the names its budget covers
+(blocks 1..budget plus every non-block name), trains them (optionally in
 parallel; results are bit-identical either way because every client owns a
-private parameter copy and a private RNG stream), then averages the
-returned parameters group by group, weighted by the sample count of
-exactly the clients whose budget covers that group.
+private parameter copy and a private RNG stream), then averages every
+returned name, weighted by the sample count of exactly the clients whose
+budget covers it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneParams, BlockParams, init_backbone, named_backbone_tensors
+from .backbone import BackboneConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
 from .data import (
     Example,
@@ -29,16 +30,7 @@ from .data import (
 )
 from .errors import AggregationError, BudgetError, ConfigError
 from .numerics import Tensor, no_grad
-from .ree import (
-    ClassifierParams,
-    ExitSchedule,
-    ReeParams,
-    forward_with_exits,
-    init_classifier,
-    init_ree,
-    named_classifier_tensors,
-    named_ree_tensors,
-)
+from .ree import ExitSchedule, forward_with_exits, init_classifier, init_ree
 from .training import (
     MODE_FROZEN,
     MODE_FULL,
@@ -62,21 +54,14 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass
-class GlobalModel:
-    backbone: BackboneParams
-    ree: ReeParams
-    classifier: ClassifierParams
-    schedule: ExitSchedule
-    config: BackboneConfig
+class Model:
+    """Parameters as one insertion-ordered name -> tensor dict.
 
+    The global model has ``budget == config.depth``; a client's sub-model
+    holds only the names its budget covers.
+    """
 
-@dataclass
-class SubModelView:
-    """Blocks 1..budget plus the shared exit stack, privately copied."""
-
-    backbone: BackboneParams
-    ree: ReeParams
-    classifier: ClassifierParams
+    params: dict
     config: BackboneConfig
     schedule: ExitSchedule
     budget: int
@@ -112,23 +97,14 @@ class RoundReport:
 
 def init_global_model(
     config: BackboneConfig, schedule: ExitSchedule, rng: np.random.Generator, dtype=np.float32
-) -> GlobalModel:
+) -> Model:
+    """Draw the backbone, then the shared exit block, then the classifier."""
     if schedule.depth != config.depth:
         raise ConfigError(f"schedule depth {schedule.depth} != backbone depth {config.depth}")
-    return GlobalModel(
-        backbone=init_backbone(config, rng, dtype=dtype),
-        ree=init_ree(config.dim, schedule.pos_rows, rng, dtype=dtype),
-        classifier=init_classifier(config.dim, config.num_classes, rng, dtype=dtype),
-        schedule=schedule,
-        config=config,
-    )
-
-
-def named_global_tensors(model: GlobalModel) -> dict[str, Tensor]:
-    out = named_backbone_tensors(model.backbone)
-    out.update(named_ree_tensors(model.ree))
-    out.update(named_classifier_tensors(model.classifier))
-    return out
+    params = init_backbone(config, rng, dtype=dtype)
+    params.update(init_ree(config.dim, schedule.pos_rows, rng, dtype=dtype))
+    params.update(init_classifier(config.dim, config.num_classes, rng, dtype=dtype))
+    return Model(params, config, schedule, config.depth)
 
 
 # -- budgets and sampling ------------------------------------------------------
@@ -161,18 +137,8 @@ def sample_clients(pool: list, fraction: float, rng: np.random.Generator) -> lis
 # -- slicing and aggregation ---------------------------------------------------
 
 
-def _clone(t: Tensor) -> Tensor:
-    out = Tensor(t.data.copy())
-    out.requires_grad = t.requires_grad
-    return out
-
-
-def _clone_block(blk: BlockParams) -> BlockParams:
-    return BlockParams(**{f: _clone(getattr(blk, f)) for f in blk.__dataclass_fields__})
-
-
-def slice_submodel(model: GlobalModel, budget: int) -> SubModelView:
-    """Deep copy of blocks 1..budget plus all shared components."""
+def slice_submodel(model: Model, budget: int) -> Model:
+    """Private copies of the names ``budget`` covers: blocks 1..budget plus all shared components."""
     depth = model.config.depth
     if not 1 <= budget <= depth:
         raise BudgetError(f"budget {budget} outside [1, {depth}]")
@@ -180,57 +146,27 @@ def slice_submodel(model: GlobalModel, budget: int) -> SubModelView:
         raise BudgetError(
             f"budget {budget} does not cover the first exit at block {model.schedule.exit_blocks[0]}"
         )
-    backbone = BackboneParams(
-        patch_embed=_clone(model.backbone.patch_embed),
-        pos_embed=_clone(model.backbone.pos_embed),
-        class_token=_clone(model.backbone.class_token),
-        blocks=[_clone_block(b) for b in model.backbone.blocks[:budget]],
-    )
-    ree = ReeParams(
-        block=_clone_block(model.ree.block),
-        z_meta=_clone(model.ree.z_meta),
-        pos=_clone(model.ree.pos),
-    )
-    classifier = ClassifierParams(
-        ln_gamma=_clone(model.classifier.ln_gamma),
-        ln_beta=_clone(model.classifier.ln_beta),
-        weight=_clone(model.classifier.weight),
-        bias=_clone(model.classifier.bias),
-    )
-    return SubModelView(
-        backbone=backbone,
-        ree=ree,
-        classifier=classifier,
-        config=model.config,
-        schedule=model.schedule,
-        budget=budget,
-    )
+    params = {
+        name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+        for name, t in model.params.items()
+        if covering_budget(name) <= budget
+    }
+    return Model(params, model.config, model.schedule, budget)
 
 
-def full_view(model: GlobalModel) -> SubModelView:
-    """Read-only full-depth view sharing the global tensors (evaluation)."""
-    return SubModelView(
-        backbone=model.backbone,
-        ree=model.ree,
-        classifier=model.classifier,
-        config=model.config,
-        schedule=model.schedule,
-        budget=model.config.depth,
-    )
+def aggregate(model: Model, updates: list) -> Model:
+    """Sample-weighted mean per parameter name.
 
-
-def aggregate(model: GlobalModel, updates: list) -> GlobalModel:
-    """Sample-weighted mean per parameter group.
-
-    ``updates`` holds (named params, weight, budget) per client. A block-l
-    group is averaged over exactly the clients whose budget covers block l;
-    shared groups over all participants. Groups nobody trained keep their
-    previous value. Accumulation runs in float64 so that identical inputs
-    are a bit-exact fixed point.
+    ``updates`` holds (named params, weight, budget) per client. Each name
+    is averaged over exactly the clients whose budget covers it: block l
+    over budgets >= l, every other name over all participants. Names nobody
+    trained keep their previous value. Accumulation runs in float64, per
+    name in update order, so that identical inputs are a bit-exact fixed
+    point.
     """
     if not updates:
         raise AggregationError("no updates to aggregate")
-    global_named = named_global_tensors(model)
+    global_named = model.params
     acc: dict[str, np.ndarray] = {}
     weight_sum: dict[str, float] = {}
     for params, weight, budget in updates:
@@ -244,12 +180,8 @@ def aggregate(model: GlobalModel, updates: list) -> GlobalModel:
                 raise AggregationError(
                     f"shape mismatch for {name!r}: {tensor.shape} vs {target.shape}"
                 )
-            if name.startswith("block"):
-                block_index = int(name[5 : name.index(".")])
-                if block_index > budget:
-                    raise AggregationError(
-                        f"update for block {block_index} from a budget-{budget} client"
-                    )
+            if covering_budget(name) > budget:
+                raise AggregationError(f"update for {name!r} from a budget-{budget} client")
             contribution = weight * tensor.data.astype(np.float64, copy=False)
             if name in acc:
                 acc[name] += contribution
@@ -263,7 +195,7 @@ def aggregate(model: GlobalModel, updates: list) -> GlobalModel:
     return model
 
 
-def comm_cost(view: SubModelView, mode: str) -> int:
+def comm_cost(view: Model, mode: str) -> int:
     """Transfer bytes for one direction: 4 bytes per transferred parameter.
 
     Frozen mode moves only the shared exit stack (the backbone never leaves
@@ -271,15 +203,14 @@ def comm_cost(view: SubModelView, mode: str) -> int:
     """
     if mode not in (MODE_FULL, MODE_FROZEN):
         raise ConfigError(f"unknown comm mode {mode!r}")
-    tensors = trainable_tensors(view, mode)
-    return BYTES_PER_PARAM * sum(t.data.size for t in tensors.values())
+    return BYTES_PER_PARAM * sum(t.data.size for t in trainable_tensors(view, mode).values())
 
 
 # -- evaluation ------------------------------------------------------------------
 
 
 def evaluate(
-    model: GlobalModel,
+    model: Model,
     test_set: list,
     modulation: bool = True,
     batch_size: int = 64,
@@ -287,7 +218,6 @@ def evaluate(
     """Top-1 accuracy of every exit over the full test set, full depth."""
     if not test_set:
         raise ConfigError("empty test set")
-    view = full_view(model)
     exits = model.schedule.num_exits
     correct = np.zeros(exits, dtype=np.int64)
     with no_grad():
@@ -295,7 +225,7 @@ def evaluate(
             chunk = test_set[start : start + batch_size]
             images = np.stack([ex.image for ex in chunk])
             labels = np.array([ex.label for ex in chunk])
-            trace = forward_with_exits(view, images, model.schedule, modulation)
+            trace = forward_with_exits(model, images, model.schedule, modulation)
             for e, logits in enumerate(trace.exit_logits):
                 correct[e] += int((np.argmax(logits.data, axis=1) == labels).sum())
     return correct / len(test_set)
@@ -307,7 +237,7 @@ def evaluate(
 @dataclass
 class ServerState:
     cfg: ExperimentConfig
-    model: GlobalModel
+    model: Model
     clients: list
     test_set: list
     train_cfg: TrainConfig

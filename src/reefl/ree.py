@@ -8,6 +8,12 @@ block (feature modulation). No other output token is read, so the block
 attends from those two rows only, with keys and values over the whole
 queue. The same block parameters serve every depth, so one gradient step
 moves all applications at once.
+
+The shared exit stack's parameters sit in the model's flat name -> tensor
+dict as ``ree.{block field}``, ``ree.z_meta``, ``ree.pos`` and
+``classifier.{ln_gamma,ln_beta,weight,bias}``. Every client holds and
+trains them whatever its budget, and they are all that frozen mode trains
+and transfers.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .backbone import (
-    BlockParams,
+    block_prefix,
     init_block,
     mlp_residual,
     msa_forward,
@@ -45,25 +51,6 @@ REE_MLP_RATIO = 1.35
 
 def ree_mlp_hidden(dim: int) -> int:
     return math.ceil(REE_MLP_RATIO * dim)
-
-
-@dataclass
-class ReeParams:
-    """Shared early-exit block plus its meta token and queue positions."""
-
-    block: BlockParams
-    z_meta: Tensor
-    pos: Tensor  # one row per queue slot, meta slot first
-
-
-@dataclass
-class ClassifierParams:
-    """Shared exit classifier: layer norm followed by a linear layer."""
-
-    ln_gamma: Tensor
-    ln_beta: Tensor
-    weight: Tensor
-    bias: Tensor
 
 
 @dataclass
@@ -106,35 +93,42 @@ class ExitSchedule:
         return sum(1 for b in self.exit_blocks if b <= budget)
 
 
-def init_ree(dim: int, pos_rows: int, rng: np.random.Generator, dtype=np.float32) -> ReeParams:
-    block = init_block(rng, dim, attn_dim=REE_ATTN_DIM, mlp_hidden=ree_mlp_hidden(dim), dtype=dtype)
+def is_shared(name: str) -> bool:
+    """Whether parameter ``name`` belongs to the shared exit stack."""
+    return name.startswith(("ree.", "classifier."))
+
+
+def init_ree(dim: int, pos_rows: int, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    params = init_block(rng, "ree.", dim, attn_dim=REE_ATTN_DIM, mlp_hidden=ree_mlp_hidden(dim), dtype=dtype)
     # Residual output projections start at zero so the shared block begins as
     # an identity pass-through (m == queue + positions) and modulation cannot
     # scramble the class-token path of a randomly initialized backbone.
-    block.wo.data[:] = 0.0
-    block.mlp_w2.data[:] = 0.0
-    return ReeParams(
-        block=block,
-        z_meta=Tensor(trunc_normal(rng, (dim,), dtype=dtype), requires_grad=True),
-        pos=Tensor(trunc_normal(rng, (pos_rows, dim), dtype=dtype), requires_grad=True),
-    )
+    params["ree.wo"].data[:] = 0.0
+    params["ree.mlp_w2"].data[:] = 0.0
+    params["ree.z_meta"] = Tensor(trunc_normal(rng, (dim,), dtype=dtype), requires_grad=True)
+    # one row per queue slot, meta slot first
+    params["ree.pos"] = Tensor(trunc_normal(rng, (pos_rows, dim), dtype=dtype), requires_grad=True)
+    return params
 
 
-def init_classifier(dim: int, num_classes: int, rng: np.random.Generator, dtype=np.float32) -> ClassifierParams:
+def init_classifier(dim: int, num_classes: int, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    """Shared exit classifier: layer norm followed by a linear layer."""
     # Unit-scale logits at init (weight std 1/sqrt(d) on normalized features);
     # backbone-style 0.02 leaves gradients too weak to break symmetry quickly.
-    return ClassifierParams(
-        ln_gamma=Tensor(np.ones(dim, dtype=dtype), requires_grad=True),
-        ln_beta=Tensor(np.zeros(dim, dtype=dtype), requires_grad=True),
-        weight=Tensor(trunc_normal(rng, (dim, num_classes), std=1.0 / math.sqrt(dim), dtype=dtype), requires_grad=True),
-        bias=Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True),
-    )
+    return {
+        "classifier.ln_gamma": Tensor(np.ones(dim, dtype=dtype), requires_grad=True),
+        "classifier.ln_beta": Tensor(np.zeros(dim, dtype=dtype), requires_grad=True),
+        "classifier.weight": Tensor(
+            trunc_normal(rng, (dim, num_classes), std=1.0 / math.sqrt(dim), dtype=dtype), requires_grad=True
+        ),
+        "classifier.bias": Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True),
+    }
 
 
 # -- core ops -----------------------------------------------------------------
 
 
-def ree_forward(queue: list, ree: ReeParams) -> tuple[Tensor, Tensor]:
+def ree_forward(queue: list, params: dict) -> tuple[Tensor, Tensor]:
     """Run the shared block over the token queue; return (m_0, m_last).
 
     ``queue`` holds [B,d] tensors, meta slot first. Queue positions are
@@ -144,29 +138,30 @@ def ree_forward(queue: list, ree: ReeParams) -> tuple[Tensor, Tensor]:
     m_last the modulation, and no other row is read.
     """
     q = len(queue)
-    if q > ree.pos.shape[0]:
-        raise ScheduleError(f"queue length {q} exceeds {ree.pos.shape[0]} queue slots")
-    blk = ree.block
-    seq = stack(queue, axis=1) + narrow(ree.pos, 0, 0, q)  # [B,q,d]
-    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
+    pos = params["ree.pos"]
+    if q > pos.shape[0]:
+        raise ScheduleError(f"queue length {q} exceeds {pos.shape[0]} queue slots")
+    seq = stack(queue, axis=1) + narrow(pos, 0, 0, q)  # [B,q,d]
+    normed = layer_norm(seq, params["ree.ln1_gamma"], params["ree.ln1_beta"])
 
     def ends(x: Tensor) -> Tensor:  # rows 0 and q-1, [B,2,d]
         return concat([narrow(x, 1, 0, 1), narrow(x, 1, q - 1, q)], axis=1)
 
-    attn_out, _ = msa_forward(ends(normed), normed, blk, REE_HEADS)
-    out = mlp_residual(ends(seq) + attn_out, blk)
+    attn_out, _ = msa_forward(ends(normed), normed, params, "ree.", REE_HEADS)
+    out = mlp_residual(ends(seq) + attn_out, params, "ree.")
     return out.select(1, 0), out.select(1, 1)
 
 
-def classify_exit(m0: Tensor, zcls: Tensor, cls: ClassifierParams) -> Tensor:
+def classify_exit(m0: Tensor, zcls: Tensor, params: dict) -> Tensor:
     """Logits from the modulated meta token added to the current class token."""
     if m0.shape != zcls.shape:
         raise ShapeError(f"classifier inputs disagree: {m0.shape} vs {zcls.shape}")
-    h = layer_norm(m0 + zcls, cls.ln_gamma, cls.ln_beta)
+    h = layer_norm(m0 + zcls, params["classifier.ln_gamma"], params["classifier.ln_beta"])
+    weight, bias = params["classifier.weight"], params["classifier.bias"]
     if h.data.ndim == 1:
         h = reshape(h, (1,) + h.shape)
-        return matmul(h, cls.weight).select(0, 0) + cls.bias
-    return matmul(h, cls.weight) + cls.bias
+        return matmul(h, weight).select(0, 0) + bias
+    return matmul(h, weight) + bias
 
 
 def modulate(tokens: Tensor, m_last: Tensor) -> Tensor:
@@ -192,8 +187,6 @@ class ForwardTrace:
     exit_logits: list = field(default_factory=list)  # per exit within budget, [B,K]
     exit_blocks: list = field(default_factory=list)  # block index per recorded exit
     modulated: dict = field(default_factory=dict)  # block -> (m_0, m_last)
-    attention: dict = field(default_factory=dict)  # block -> forward attention
-    batch_size: int = 0
 
 
 def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulation: bool = True) -> ForwardTrace:
@@ -201,7 +194,8 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
 
     At each block where the shared block runs, the class token joins the
     queue; at exit blocks logits are recorded from the original class token
-    before the modulated token replaces it for the next block.
+    before the modulated token replaces it for the next block. ``view``
+    is a model: its ``params`` dict, ``config`` and ``budget`` are read.
     """
     images = np.asarray(images)
     if images.ndim != 4:
@@ -215,26 +209,26 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
     b = images.shape[0]
     d = view.config.dim
 
-    trace = ForwardTrace(batch_size=b)
-    meta = broadcast_to(reshape(view.ree.z_meta, (1, d)), (b, d))
+    params = view.params
+    trace = ForwardTrace()
+    meta = broadcast_to(reshape(params["ree.z_meta"], (1, d)), (b, d))
     trace.queue.append(meta)
 
-    def hook(l: int, z: Tensor, attn: Tensor) -> Optional[Tensor]:
-        trace.attention[l] = attn
+    def hook(l: int, z: Tensor) -> Optional[Tensor]:
         if not (schedule.ree_everywhere or l in exit_set):
             return None
         zcls = z.select(1, 0)
         trace.queue.append(zcls)
-        m0, m_last = ree_forward(trace.queue, view.ree)
+        m0, m_last = ree_forward(trace.queue, params)
         trace.modulated[l] = (m0, m_last)
         if l in exit_set:
-            trace.exit_logits.append(classify_exit(m0, zcls, view.classifier))
+            trace.exit_logits.append(classify_exit(m0, zcls, params))
             trace.exit_blocks.append(l)
         if modulation:
             return modulate(z, m_last)
         return None
 
-    trace.activations = prefix_forward(view.backbone, images, budget, view.config, hook)
+    trace.activations = prefix_forward(params, images, budget, view.config, hook)
     return trace
 
 
@@ -258,14 +252,14 @@ def attention_maps(trace: ForwardTrace, block: int, view) -> AttnMaps:
     if not 1 <= block < len(trace.activations):
         raise IndexError(f"block {block} was not executed")
     prev = trace.activations[block - 1]
-    blk = view.backbone.blocks[block - 1]
+    params, prefix = view.params, block_prefix(block)
     b, t, d = prev.shape
     ctx = narrow(prev, 1, 1, t)
 
     def attend(query: Tensor) -> np.ndarray:
         seq = concat([reshape(query, (b, 1, d)), ctx], axis=1)
-        normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
-        _, attn = msa_forward(narrow(normed, 1, 0, 1), normed, blk, view.config.heads)
+        normed = layer_norm(seq, params[prefix + "ln1_gamma"], params[prefix + "ln1_beta"])
+        _, attn = msa_forward(narrow(normed, 1, 0, 1), normed, params, prefix, view.config.heads)
         return attn.data[:, :, 0, 1:].mean(axis=1)
 
     with no_grad():
@@ -278,27 +272,3 @@ def attention_maps(trace: ForwardTrace, block: int, view) -> AttnMaps:
         else:
             qm = qc = None
     return AttnMaps(query_x=qx, query_m=qm, query_c=qc)
-
-
-# -- parameter naming ---------------------------------------------------------
-
-_BLOCK_FIELDS = (
-    "ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-    "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_w2",
-)
-
-
-def named_ree_tensors(ree: ReeParams) -> dict[str, Tensor]:
-    out = {f"ree.{f}": getattr(ree.block, f) for f in _BLOCK_FIELDS}
-    out["ree.z_meta"] = ree.z_meta
-    out["ree.pos"] = ree.pos
-    return out
-
-
-def named_classifier_tensors(cls: ClassifierParams) -> dict[str, Tensor]:
-    return {
-        "classifier.ln_gamma": cls.ln_gamma,
-        "classifier.ln_beta": cls.ln_beta,
-        "classifier.weight": cls.weight,
-        "classifier.bias": cls.bias,
-    }

@@ -12,7 +12,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .backbone import named_backbone_tensors
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -23,7 +22,7 @@ from .errors import (
     TraceError,
 )
 from .numerics import Tensor, cross_entropy, log_softmax, softmax, tsum
-from .ree import ExitSchedule, ForwardTrace, forward_with_exits, named_classifier_tensors, named_ree_tensors
+from .ree import ExitSchedule, ForwardTrace, forward_with_exits, is_shared
 
 MODE_FULL = "full"
 MODE_FROZEN = "frozen"
@@ -147,21 +146,13 @@ def cosine_lr(round_t: int, cfg: TrainConfig) -> float:
 
 
 def all_named_tensors(view) -> dict[str, Tensor]:
-    out = named_backbone_tensors(view.backbone)
-    out.update(named_ree_tensors(view.ree))
-    out.update(named_classifier_tensors(view.classifier))
-    return out
+    """The view's parameter dict (perfbench/tracer.py sizes slices through this)."""
+    return view.params
 
 
 def trainable_tensors(view, mode: str) -> dict[str, Tensor]:
     """Frozen mode trains (and later transfers) only the shared exit stack."""
-    shared = dict(named_ree_tensors(view.ree))
-    shared.update(named_classifier_tensors(view.classifier))
-    if mode == MODE_FROZEN:
-        return shared
-    out = named_backbone_tensors(view.backbone)
-    out.update(shared)
-    return out
+    return {name: t for name, t in view.params.items() if mode != MODE_FROZEN or is_shared(name)}
 
 
 def sgd_step(params: Iterable[Tensor], lr: float, clip: float) -> None:
@@ -192,7 +183,7 @@ def local_train(
     lr = cosine_lr(round_t, cfg)
     eta = eta_schedule(round_t, cfg)
     trainable = trainable_tensors(view, cfg.mode)
-    for name, tensor in all_named_tensors(view).items():
+    for name, tensor in view.params.items():
         tensor.requires_grad = name in trainable
 
     n = len(client.train)

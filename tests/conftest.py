@@ -1,19 +1,9 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
-from reefl.backbone import BackboneConfig, BackboneParams, init_backbone
-from reefl.ree import ClassifierParams, ExitSchedule, ReeParams, init_classifier, init_ree
-
-
-@dataclass
-class ModelView:
-    backbone: BackboneParams
-    ree: ReeParams
-    classifier: ClassifierParams
-    config: BackboneConfig
-    budget: int
+from reefl.backbone import BackboneConfig
+from reefl.federation import Model, init_global_model
+from reefl.ree import ExitSchedule
 
 
 def make_view(
@@ -38,14 +28,8 @@ def make_view(
         depth,
         ree_everywhere,
     )
-    rng = np.random.default_rng(seed)
-    view = ModelView(
-        backbone=init_backbone(cfg, rng, dtype=dtype),
-        ree=init_ree(dim, schedule.pos_rows, rng, dtype=dtype),
-        classifier=init_classifier(dim, classes, rng, dtype=dtype),
-        config=cfg,
-        budget=budget if budget is not None else depth,
-    )
+    model = init_global_model(cfg, schedule, np.random.default_rng(seed), dtype=dtype)
+    view = Model(model.params, cfg, schedule, budget if budget is not None else depth)
     return view, schedule
 
 

@@ -21,7 +21,6 @@ from reefl.federation import (
     build_server,
     comm_cost,
     init_global_model,
-    named_global_tensors,
     rng_for,
     run_round,
     slice_submodel,
@@ -121,8 +120,8 @@ def test_criterion_1_gradient_integrity():
         exit_blocks=(1, 2), seed=41, dtype=np.float64,
     )
     rng = np.random.default_rng(42)
-    view.ree.block.wo.data[:] = rng.standard_normal(view.ree.block.wo.shape) * 0.1
-    view.ree.block.mlp_w2.data[:] = rng.standard_normal(view.ree.block.mlp_w2.shape) * 0.1
+    view.params["ree.wo"].data[:] = rng.standard_normal(view.params["ree.wo"].shape) * 0.1
+    view.params["ree.mlp_w2"].data[:] = rng.standard_normal(view.params["ree.mlp_w2"].shape) * 0.1
     images = rng.random((2, 1, 8, 8))
     labels = np.array([0, 3])
     eta = 0.7
@@ -215,7 +214,7 @@ def test_criterion_3_aggregation_oracle():
                 t.data += rng.standard_normal(t.shape).astype(np.float32)
             updates.append((named, int(rng.integers(1, 100)), budget))
         want = {}
-        for name, tensor in named_global_tensors(model).items():
+        for name, tensor in model.params.items():
             num = np.zeros(tensor.shape, dtype=np.float64)
             den = 0.0
             for params, weight, budget in updates:
@@ -226,18 +225,18 @@ def test_criterion_3_aggregation_oracle():
             # oracle compared at the aggregate's 32-bit storage precision
             want[name] = (num / den).astype(np.float32) if den else tensor.data
         aggregate(model, updates)
-        for name, tensor in named_global_tensors(model).items():
+        for name, tensor in model.params.items():
             worst = max(worst, float(np.abs(tensor.data - want[name]).max()))
 
     # identical-inputs fixed point, exact
     cfg = BackboneConfig(depth=4, dim=8, heads=2, patch_size=4,
                          num_classes=4, image_size=8, image_channels=1)
     model = init_global_model(cfg, ExitSchedule((2, 4), 4), np.random.default_rng(123))
-    before = {n: t.data.copy() for n, t in named_global_tensors(model).items()}
+    before = {n: t.data.copy() for n, t in model.params.items()}
     views = [all_named_tensors(slice_submodel(model, 4)) for _ in range(3)]
     aggregate(model, [(v, w, 4) for v, w in zip(views, (1, 7, 29))])
     exact = all(
-        np.array_equal(t.data, before[n]) for n, t in named_global_tensors(model).items()
+        np.array_equal(t.data, before[n]) for n, t in model.params.items()
     )
     _report(
         "criterion 3 (aggregation oracle)",
@@ -263,17 +262,17 @@ def test_criterion_4_centralized_equivalence():
     cfg = parse_config(overrides=[f"{k}={v}" for k, v in overrides.items()])
 
     state = build_server(cfg)
-    initial = {n: t.data.copy() for n, t in named_global_tensors(state.model).items()}
+    initial = {n: t.data.copy() for n, t in state.model.params.items()}
     train_set = list(state.clients[0].train)
     fed_snaps = []
     for t in range(1, 11):
         run_round(state, t)
-        fed_snaps.append({n: p.data.copy() for n, p in named_global_tensors(state.model).items()})
+        fed_snaps.append({n: p.data.copy() for n, p in state.model.params.items()})
 
     # independent centralized loop: same init, same seeded batch order, plain SGD
     oracle = build_server(cfg)
     model = oracle.model
-    for name, tensor in named_global_tensors(model).items():
+    for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor.data, initial[name])
     view = slice_submodel(model, 4)
     tcfg = oracle.train_cfg
@@ -428,7 +427,7 @@ def _criterion9_run(args):
     path = Path(path_str)
     path.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(path / "metrics.csv", reports, state.model.schedule.num_exits)
-    return {n: t.data.copy() for n, t in named_global_tensors(state.model).items()}
+    return {n: t.data.copy() for n, t in state.model.params.items()}
 
 
 @pytest.mark.slow

@@ -4,10 +4,10 @@ import pytest
 from reefl.backbone import (
     BackboneConfig,
     block_forward,
+    block_prefix,
     init_backbone,
     init_block,
     msa_forward,
-    named_backbone_tensors,
     prefix_forward,
     tokenize,
 )
@@ -22,10 +22,10 @@ def tiny_cfg(depth=2, dim=8, heads=2, image=8, patch=4):
     )
 
 
-def zero_residuals(params):
-    for blk in params.blocks:
-        blk.wo.data[:] = 0.0
-        blk.mlp_w2.data[:] = 0.0
+def zero_residuals(params, depth):
+    for l in range(1, depth + 1):
+        params[f"block{l}.wo"].data[:] = 0.0
+        params[f"block{l}.mlp_w2"].data[:] = 0.0
 
 
 def test_tokenize_shape():
@@ -43,9 +43,9 @@ def test_tokenize_shape():
 def test_tokenize_zero_image_keeps_class_token():
     cfg = tiny_cfg()
     params = init_backbone(cfg, np.random.default_rng(1))
-    params.pos_embed.data[:] = 0.0
+    params["pos_embed"].data[:] = 0.0
     z = tokenize(np.zeros((1, 8, 8), dtype=np.float32), params, cfg)
-    np.testing.assert_array_equal(z.data[0], params.class_token.data)
+    np.testing.assert_array_equal(z.data[0], params["class_token"].data)
 
 
 def test_tokenize_indivisible_image():
@@ -62,7 +62,7 @@ def test_tokenize_grad_matches_fd():
     img = rng.random((1, 8, 8))
     report = grad_check(
         lambda: tsum(tokenize(img, params, cfg)),
-        {"patch_embed": params.patch_embed, "pos_embed": params.pos_embed, "cls": params.class_token},
+        {"patch_embed": params["patch_embed"], "pos_embed": params["pos_embed"], "cls": params["class_token"]},
     )
     assert report.passed, report
 
@@ -71,9 +71,9 @@ def test_block_zero_residual_is_identity():
     cfg = tiny_cfg()
     rng = np.random.default_rng(4)
     params = init_backbone(cfg, rng)
-    zero_residuals(params)
+    zero_residuals(params, cfg.depth)
     z = Tensor(rng.standard_normal((5, cfg.dim)).astype(np.float32))
-    out, _ = block_forward(z, params.blocks[0], cfg.heads)
+    out, _ = block_forward(z, params, "block1.", cfg.heads)
     np.testing.assert_allclose(out.data, z.data, atol=1e-6)
 
 
@@ -82,62 +82,58 @@ def test_block_preserves_shape():
     rng = np.random.default_rng(5)
     params = init_backbone(cfg, rng)
     z = Tensor(rng.standard_normal((3, 5, cfg.dim)).astype(np.float32))
-    for blk in params.blocks:
-        z, attn = block_forward(z, blk, cfg.heads)
+    for l in range(1, cfg.depth + 1):
+        z, attn = block_forward(z, params, block_prefix(l), cfg.heads)
         assert z.shape == (3, 5, cfg.dim)
         assert attn.shape == (3, cfg.heads, 5, 5)
 
 
 def test_block_grad_matches_fd():
     rng = np.random.default_rng(6)
-    blk = init_block(rng, dim=6, attn_dim=6, mlp_hidden=8, dtype=np.float64)
+    blk = init_block(rng, "b.", dim=6, attn_dim=6, mlp_hidden=8, dtype=np.float64)
     z = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
     w = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
-    params = {f: getattr(blk, f) for f in (
-        "ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-        "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_w2",
-    )}
-    report = grad_check(lambda: tsum(block_forward(z, blk, heads=2)[0] * w), params)
+    report = grad_check(lambda: tsum(block_forward(z, blk, "b.", heads=2)[0] * w), blk)
     assert report.passed, report
 
 
 def test_msa_single_token_attention():
     rng = np.random.default_rng(7)
-    blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
+    blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8)
     z = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
-    _, attn = msa_forward(z, z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, "b.", heads=2)
     np.testing.assert_allclose(attn.data, 1.0)
 
 
 def test_msa_identical_keys_uniform_rows():
     rng = np.random.default_rng(8)
-    blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
+    blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8)
     row = rng.standard_normal(8).astype(np.float32)
     z = Tensor(np.tile(row, (5, 1)))
-    _, attn = msa_forward(z, z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, "b.", heads=2)
     np.testing.assert_allclose(attn.data, 0.2, atol=1e-6)
 
 
 def test_msa_rows_sum_to_one():
     rng = np.random.default_rng(9)
-    blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8)
+    blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8)
     z = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
-    _, attn = msa_forward(z, z, blk, heads=2)
+    _, attn = msa_forward(z, z, blk, "b.", heads=2)
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_msa_query_rows_match_self_attention_rows():
     rng = np.random.default_rng(11)
-    blk = init_block(rng, dim=8, attn_dim=8, mlp_hidden=8, dtype=np.float64)
+    blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8, dtype=np.float64)
     z = Tensor(rng.standard_normal((3, 5, 8)), dtype=np.float64)
-    full_out, full_attn = msa_forward(z, z, blk, heads=2)
+    full_out, full_attn = msa_forward(z, z, blk, "b.", heads=2)
     rows = concat([narrow(z, 1, 0, 1), narrow(z, 1, 4, 5)], axis=1)
-    out, attn = msa_forward(rows, z, blk, heads=2)
+    out, attn = msa_forward(rows, z, blk, "b.", heads=2)
     assert out.shape == (3, 2, 8) and attn.shape == (3, 2, 2, 5)
     np.testing.assert_allclose(out.data, full_out.data[:, [0, 4]], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(attn.data, full_attn.data[:, :, [0, 4]], rtol=1e-12, atol=1e-14)
     with pytest.raises(ShapeError):
-        msa_forward(narrow(z, 0, 0, 1), z, blk, heads=2)
+        msa_forward(narrow(z, 0, 0, 1), z, blk, "b.", heads=2)
 
 
 def test_prefix_full_equals_sequential():
@@ -147,8 +143,8 @@ def test_prefix_full_equals_sequential():
     img = rng.random((1, 8, 8)).astype(np.float32)
     acts = prefix_forward(params, img, upto_block=3, cfg=cfg)
     z = tokenize(img, params, cfg)
-    for blk in params.blocks:
-        z, _ = block_forward(z, blk, cfg.heads)
+    for l in range(1, cfg.depth + 1):
+        z, _ = block_forward(z, params, block_prefix(l), cfg.heads)
     np.testing.assert_array_equal(acts[-1].data, z.data)
     assert len(acts) == 4
 
@@ -175,7 +171,7 @@ def test_hook_touches_only_class_row_downstream():
     params = init_backbone(cfg, rng)
     img = rng.random((1, 8, 8)).astype(np.float32)
 
-    def zero_cls(l, z, attn):
+    def zero_cls(l, z):
         if l == 1:
             out = z.data.copy()
             out[0, :] = 0.0
@@ -203,7 +199,7 @@ def test_zero_weight_prefix_is_identity_on_tokens():
     cfg = tiny_cfg(depth=2)
     rng = np.random.default_rng(15)
     params = init_backbone(cfg, rng)
-    zero_residuals(params)
+    zero_residuals(params, cfg.depth)
     img = rng.random((1, 8, 8)).astype(np.float32)
     acts = prefix_forward(params, img, 2, cfg)
     np.testing.assert_allclose(acts[-1].data, acts[0].data, atol=1e-5)
@@ -212,7 +208,7 @@ def test_zero_weight_prefix_is_identity_on_tokens():
 def test_named_tensors_cover_blocks():
     cfg = tiny_cfg(depth=2)
     params = init_backbone(cfg, np.random.default_rng(16))
-    names = named_backbone_tensors(params)
+    names = params
     assert "block1.wq" in names and "block2.mlp_w2" in names
     assert len(names) == 3 + 2 * 10
 
@@ -230,6 +226,6 @@ def test_end_to_end_classification_grad():
         cls = acts[-1].select(1, 0)
         return cross_entropy(cls @ w, labels)
 
-    checked = dict(named_backbone_tensors(params), head=w)
+    checked = dict(params, head=w)
     report = grad_check(loss, checked)
     assert report.passed, report

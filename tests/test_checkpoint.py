@@ -1,15 +1,22 @@
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from reefl.backbone import BackboneConfig
 from reefl.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    _model_config_blob,
     describe_checkpoint,
     load_checkpoint,
     load_named_tensors,
     save_checkpoint,
 )
 from reefl.errors import FormatError
-from reefl.federation import init_global_model, named_global_tensors
+from reefl.federation import init_global_model
 from reefl.ree import ExitSchedule
 
 
@@ -24,8 +31,8 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
-    want = named_global_tensors(model)
-    got = named_global_tensors(loaded)
+    want = model.params
+    got = loaded.params
     assert set(want) == set(got)
     for name in want:
         np.testing.assert_array_equal(want[name].data, got[name].data, err_msg=name)
@@ -65,3 +72,63 @@ def test_describe_lists_tensors(tmp_path):
     save_checkpoint(path, model)
     text = describe_checkpoint(path)
     assert "depth=4" in text and "classifier.weight" in text and "ree.z_meta" in text
+
+
+# sha256 of the checkpoint of make_model(seed=0): pins the tensor names, their
+# order, shapes, the initialization draw order and the float32 encoding
+GOLDEN_SHA256 = "030252d7bf81fe9c96ebfe8193aaa793f7a3f1e7e7ef44bf7a9d51d0e635ab84"
+
+
+def test_checkpoint_bytes_match_golden_digest(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_model(seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+def write_raw_checkpoint(path, model, tensors):
+    """A checkpoint of ``model``'s config blob holding exactly ``tensors``."""
+    u32 = struct.Struct("<I").pack
+    blob = _model_config_blob(model).encode()
+    out = [CHECKPOINT_MAGIC, u32(CHECKPOINT_VERSION), u32(len(blob)), blob]
+    for name, data in tensors.items():
+        data = np.asarray(data, dtype="<f4")
+        out += [u32(len(name.encode())), name.encode(), u32(data.ndim)]
+        out += [u32(d) for d in data.shape] + [data.tobytes()]
+    path.write_bytes(b"".join(out))
+
+
+def model_arrays(model):
+    return {name: t.data for name, t in model.params.items()}
+
+
+@pytest.mark.parametrize("name, cut", [("pos_embed", np.s_[:3]), ("ree.pos", np.s_[:, :3])])
+def test_load_rejects_misshapen_tensor(tmp_path, name, cut):
+    model = make_model(seed=4)
+    arrays = model_arrays(model)
+    expected = arrays[name].shape
+    arrays[name] = arrays[name][cut]
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, model, arrays)
+    want = f"tensor {name!r} has shape {arrays[name].shape}, expected {expected}"
+    with pytest.raises(FormatError, match=re.escape(want)):
+        load_checkpoint(path)
+
+
+def test_load_rejects_unknown_tensor(tmp_path):
+    model = make_model(seed=5)
+    arrays = model_arrays(model)
+    arrays["block7.wq"] = arrays["block1.wq"]
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, model, arrays)
+    with pytest.raises(FormatError, match="unknown tensor 'block7.wq'"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_missing_tensor(tmp_path):
+    model = make_model(seed=6)
+    arrays = model_arrays(model)
+    del arrays["classifier.bias"]
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, model, arrays)
+    with pytest.raises(FormatError, match="missing tensor 'classifier.bias'"):
+        load_checkpoint(path)

@@ -242,3 +242,35 @@ def test_run_non_utf8_config_exit_2(tmp_path):
     proc = run_cli("run", "--config", str(path), f"--output_dir={out}")
     assert_clean_failure(proc, 2, "not UTF-8 text (byte 25)")
     assert not out.exists()
+
+
+def attention_inputs(tmp_path):
+    """A one-round checkpoint and a dataset for the attention command."""
+    out = tmp_path / "run"
+    assert main(tiny_args(out, **{"federation.total_rounds": 1})) == 0
+    ds = tmp_path / "toy.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "1", "--image-size", "8"]) == 0
+    return out / "checkpoint.ckpt", ds
+
+
+def test_attention_misshapen_checkpoint_exit_1(tmp_path):
+    from reefl.checkpoint import load_checkpoint
+    from test_checkpoint import write_raw_checkpoint
+
+    ckpt, ds = attention_inputs(tmp_path)
+    model = load_checkpoint(ckpt)
+    arrays = {name: t.data for name, t in model.params.items()}
+    arrays["pos_embed"] = arrays["pos_embed"][:3]
+    bad = tmp_path / "bad.ckpt"
+    write_raw_checkpoint(bad, model, arrays)
+    proc = run_cli("attention", "--checkpoint", str(bad), "--dataset", str(ds), "--samples", "0",
+                   "--output", str(tmp_path / "attn.csv"))
+    assert_clean_failure(proc, 1, "tensor 'pos_embed' has shape (3, 8), expected (5, 8)")
+
+
+def test_attention_non_integer_sample_exit_2(tmp_path):
+    ckpt, ds = attention_inputs(tmp_path)
+    proc = run_cli("attention", "--checkpoint", str(ckpt), "--dataset", str(ds), "--samples", "a,1",
+                   "--output", str(tmp_path / "attn.csv"))
+    assert_clean_failure(proc, 2, "--samples must be comma-separated integers")
+    assert not (tmp_path / "attn.csv").exists()

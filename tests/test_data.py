@@ -53,7 +53,7 @@ def test_synth_pixels_in_unit_range():
 def test_synth_centralized_learnability():
     # calibration check: a 2-block model must clear 80% within 200 epochs
     from reefl.backbone import BackboneConfig
-    from reefl.federation import evaluate, full_view, init_global_model
+    from reefl.federation import evaluate, init_global_model
     from reefl.ree import ExitSchedule, forward_with_exits
     from reefl.training import TrainConfig, cosine_lr, exit_ce_losses, sgd_step, trainable_tensors
 
@@ -63,7 +63,7 @@ def test_synth_centralized_learnability():
                          num_classes=4, image_size=16, image_channels=1)
     schedule = ExitSchedule((2,), 2)
     model = init_global_model(cfg, schedule, np.random.default_rng(22))
-    view = full_view(model)
+    view = model
     tcfg = TrainConfig(total_rounds=200, batch_size=32, kd_enabled=False)
     trainable = trainable_tensors(view, "full")
     for t in trainable.values():

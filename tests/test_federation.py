@@ -12,7 +12,6 @@ from reefl.federation import (
     comm_cost,
     evaluate,
     init_global_model,
-    named_global_tensors,
     rng_for,
     run_experiment_with_state,
     run_round,
@@ -93,31 +92,25 @@ def test_sample_empty_pool():
 # -- slicing -------------------------------------------------------------------
 
 
-def named_global_tensors_view(view):
-    from reefl.training import all_named_tensors
-
-    return all_named_tensors(view)
-
-
 def test_slice_full_budget_has_all_parameters():
     model = small_model()
     view = slice_submodel(model, 4)
-    assert len(view.backbone.blocks) == 4
-    globals_by_name = named_global_tensors(model)
-    for name, tensor in named_global_tensors_view(view).items():
+    assert sum(name.endswith(".wq") and name.startswith("block") for name in view.params) == 4
+    globals_by_name = model.params
+    for name, tensor in view.params.items():
         np.testing.assert_array_equal(tensor.data, globals_by_name[name].data, err_msg=name)
     # mutating the view must not touch the global model
-    view.backbone.blocks[0].wq.data[:] = 0.0
-    assert not np.array_equal(model.backbone.blocks[0].wq.data, view.backbone.blocks[0].wq.data)
+    view.params["block1.wq"].data[:] = 0.0
+    assert not np.array_equal(model.params["block1.wq"].data, view.params["block1.wq"].data)
 
 
 def test_slice_prefix():
     model = small_model(depth=12, exit_blocks=(3, 6, 9, 12))
     view = slice_submodel(model, 3)
-    assert len(view.backbone.blocks) == 3
+    assert sum(name.endswith(".wq") and name.startswith("block") for name in view.params) == 3
     deeper = slice_submodel(model, 7)
-    for a, b in zip(view.backbone.blocks, deeper.backbone.blocks):
-        np.testing.assert_array_equal(a.wq.data, b.wq.data)
+    for l in range(1, 4):
+        np.testing.assert_array_equal(view.params[f"block{l}.wq"].data, deeper.params[f"block{l}.wq"].data)
 
 
 def test_slice_budget_errors():
@@ -135,24 +128,24 @@ def test_aggregate_equal_weights_is_mean():
     model = small_model(seed=1)
     a = slice_submodel(model, 4)
     b = slice_submodel(model, 4)
-    for t in named_global_tensors_view(a).values():
+    for t in a.params.values():
         t.data += 1.0
-    for t in named_global_tensors_view(b).values():
+    for t in b.params.values():
         t.data += 3.0
-    want = {n: t.data + 2.0 for n, t in named_global_tensors(model).items()}
-    aggregate(model, [(named_global_tensors_view(a), 5, 4), (named_global_tensors_view(b), 5, 4)])
-    for name, tensor in named_global_tensors(model).items():
+    want = {n: t.data + 2.0 for n, t in model.params.items()}
+    aggregate(model, [(a.params, 5, 4), (b.params, 5, 4)])
+    for name, tensor in model.params.items():
         np.testing.assert_allclose(tensor.data, want[name], atol=1e-6, err_msg=name)
 
 
 def test_aggregate_single_client_verbatim():
     model = small_model(seed=2)
     view = slice_submodel(model, 4)
-    for t in named_global_tensors_view(view).values():
+    for t in view.params.values():
         t.data *= 1.7
-    want = {n: t.data.copy() for n, t in named_global_tensors_view(view).items()}
-    aggregate(model, [(named_global_tensors_view(view), 3, 4)])
-    for name, tensor in named_global_tensors(model).items():
+    want = {n: t.data.copy() for n, t in view.params.items()}
+    aggregate(model, [(view.params, 3, 4)])
+    for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor.data, want[name], err_msg=name)
 
 
@@ -161,25 +154,25 @@ def test_aggregate_weighted_mean_value():
     a = slice_submodel(model, 4)
     b = slice_submodel(model, 4)
     name = "block1.wq"
-    named_global_tensors_view(a)[name].data[:] = 0.0
-    named_global_tensors_view(b)[name].data[:] = 4.0
-    aggregate(model, [(named_global_tensors_view(a), 1, 4), (named_global_tensors_view(b), 3, 4)])
-    np.testing.assert_allclose(named_global_tensors(model)[name].data, 3.0)
+    a.params[name].data[:] = 0.0
+    b.params[name].data[:] = 4.0
+    aggregate(model, [(a.params, 1, 4), (b.params, 3, 4)])
+    np.testing.assert_allclose(model.params[name].data, 3.0)
 
 
 def test_aggregate_mixed_budgets_membership():
     model = small_model(depth=12, exit_blocks=(3, 6, 9, 12), seed=4)
     shallow = slice_submodel(model, 3)
     deep = slice_submodel(model, 12)
-    for t in named_global_tensors_view(shallow).values():
+    for t in shallow.params.values():
         t.data[:] = 1.0
-    for t in named_global_tensors_view(deep).values():
+    for t in deep.params.values():
         t.data[:] = 5.0
     aggregate(
         model,
-        [(named_global_tensors_view(shallow), 1, 3), (named_global_tensors_view(deep), 3, 12)],
+        [(shallow.params, 1, 3), (deep.params, 3, 12)],
     )
-    named = named_global_tensors(model)
+    named = model.params
     np.testing.assert_allclose(named["block7.wq"].data, 5.0)  # deep client only
     np.testing.assert_allclose(named["block2.wq"].data, 4.0)  # (1*1 + 3*5)/4
     np.testing.assert_allclose(named["ree.z_meta"].data, 4.0)  # shared by both
@@ -187,21 +180,21 @@ def test_aggregate_mixed_budgets_membership():
 
 def test_aggregate_identical_inputs_fixed_point():
     model = small_model(seed=5)
-    before = {n: t.data.copy() for n, t in named_global_tensors(model).items()}
+    before = {n: t.data.copy() for n, t in model.params.items()}
     views = [slice_submodel(model, 4) for _ in range(3)]
-    aggregate(model, [(named_global_tensors_view(v), w, 4) for v, w in zip(views, (1, 3, 7))])
-    for name, tensor in named_global_tensors(model).items():
+    aggregate(model, [(v.params, w, 4) for v, w in zip(views, (1, 3, 7))])
+    for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
 def test_aggregate_uncovered_group_keeps_value():
     model = small_model(depth=12, exit_blocks=(3, 6, 9, 12), seed=6)
-    before = model.backbone.blocks[11].wq.data.copy()
+    before = model.params["block12.wq"].data.copy()
     shallow = slice_submodel(model, 3)
-    for t in named_global_tensors_view(shallow).values():
+    for t in shallow.params.values():
         t.data[:] = 9.0
-    aggregate(model, [(named_global_tensors_view(shallow), 2, 3)])
-    np.testing.assert_array_equal(model.backbone.blocks[11].wq.data, before)
+    aggregate(model, [(shallow.params, 2, 3)])
+    np.testing.assert_array_equal(model.params["block12.wq"].data, before)
 
 
 def test_aggregate_brute_force_oracle():
@@ -217,13 +210,13 @@ def test_aggregate_brute_force_oracle():
         for _ in range(n_updates):
             budget = int(rng.choice(exit_blocks))
             view = slice_submodel(model, budget)
-            for t in named_global_tensors_view(view).values():
+            for t in view.params.values():
                 t.data += rng.standard_normal(t.shape).astype(np.float32)
-            updates.append((named_global_tensors_view(view), int(rng.integers(1, 50)), budget))
+            updates.append((view.params, int(rng.integers(1, 50)), budget))
 
         # brute-force per-group oracle: membership recomputed from budgets
         want = {}
-        for name, tensor in named_global_tensors(model).items():
+        for name, tensor in model.params.items():
             num, den = np.zeros(tensor.shape, dtype=np.float64), 0.0
             for params, weight, budget in updates:
                 covers = (not name.startswith("block")) or int(name[5:name.index(".")]) <= budget
@@ -234,14 +227,14 @@ def test_aggregate_brute_force_oracle():
             want[name] = (num / den) if den else tensor.data.astype(np.float64)
 
         aggregate(model, updates)
-        for name, tensor in named_global_tensors(model).items():
+        for name, tensor in model.params.items():
             np.testing.assert_allclose(tensor.data, want[name], atol=1e-7, err_msg=name)
 
 
 def test_aggregate_rejects_bad_updates():
     model = small_model(seed=8)
     view = slice_submodel(model, 4)
-    params = named_global_tensors_view(view)
+    params = view.params
     with pytest.raises(AggregationError):
         aggregate(model, [])
     with pytest.raises(AggregationError):
@@ -258,7 +251,7 @@ def test_deeper_blocks_receive_no_more_weight():
     updates = []
     for _ in range(6):
         budget = int(rng.choice((3, 6, 9, 12)))
-        updates.append((named_global_tensors_view(slice_submodel(model, budget)), int(rng.integers(1, 9)), budget))
+        updates.append((slice_submodel(model, budget).params, int(rng.integers(1, 9)), budget))
     weight_at_block = []
     for l in range(1, 13):
         weight_at_block.append(sum(w for _, w, b in updates if b >= l))
@@ -266,6 +259,8 @@ def test_deeper_blocks_receive_no_more_weight():
 
 
 # -- comm cost --------------------------------------------------------------------
+
+BLOCK_FIELDS = ("ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo", "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_w2")
 
 
 def test_comm_cost_frozen_invariant_across_budgets_and_exits():
@@ -289,23 +284,24 @@ def test_comm_cost_full_monotone_in_budget():
 def test_comm_cost_counting_oracle():
     model = small_model(seed=14)
     view = slice_submodel(model, 2)
+    params = view.params
     count = 0
-    for blk in view.backbone.blocks:
-        for f in blk.__dataclass_fields__:
-            count += getattr(blk, f).data.size
-    count += view.backbone.patch_embed.data.size
-    count += view.backbone.pos_embed.data.size
-    count += view.backbone.class_token.data.size
+    for prefix in ("block1.", "block2."):
+        for f in BLOCK_FIELDS:
+            count += params[prefix + f].data.size
+    count += params["patch_embed"].data.size
+    count += params["pos_embed"].data.size
+    count += params["class_token"].data.size
     frozen = 0
-    for blk in (view.ree.block,):
-        for f in blk.__dataclass_fields__:
-            frozen += getattr(blk, f).data.size
-    frozen += view.ree.z_meta.data.size + view.ree.pos.data.size
+    for prefix in ("ree.",):
+        for f in BLOCK_FIELDS:
+            frozen += params[prefix + f].data.size
+    frozen += params["ree.z_meta"].data.size + params["ree.pos"].data.size
     frozen += (
-        view.classifier.ln_gamma.data.size
-        + view.classifier.ln_beta.data.size
-        + view.classifier.weight.data.size
-        + view.classifier.bias.data.size
+        params["classifier.ln_gamma"].data.size
+        + params["classifier.ln_beta"].data.size
+        + params["classifier.weight"].data.size
+        + params["classifier.bias"].data.size
     )
     assert comm_cost(view, MODE_FROZEN) == 4 * frozen
     assert comm_cost(view, MODE_FULL) == 4 * (frozen + count)
@@ -338,13 +334,12 @@ def test_evaluate_empty_test_set():
 
 def test_evaluate_memorization_reaches_ceiling():
     # overfit sanity: train == test, final exit should hit ~1.0
-    from reefl.federation import full_view
     from reefl.ree import forward_with_exits
     from reefl.training import TrainConfig, cosine_lr, exit_ce_losses, sgd_step, trainable_tensors
 
     model = small_model(depth=2, exit_blocks=(1, 2), seed=20)
     data = synth_dataset(4, 4, image_size=8, noise=0.1, rng=np.random.default_rng(21))
-    view = full_view(model)
+    view = model
     tcfg = TrainConfig(total_rounds=80, batch_size=16, kd_enabled=False, lr0=0.05)
     trainable = trainable_tensors(view, MODE_FULL)
     for t in trainable.values():
@@ -405,9 +400,9 @@ def test_parallel_matches_serial_bitwise():
     for ra, rb in zip(serial_reports, parallel_reports):
         np.testing.assert_array_equal(ra.exit_accuracy, rb.exit_accuracy)
         assert ra.train_loss_mean == rb.train_loss_mean
-    for name, tensor in named_global_tensors(serial_state.model).items():
+    for name, tensor in serial_state.model.params.items():
         np.testing.assert_array_equal(
-            tensor.data, named_global_tensors(parallel_state.model)[name].data, err_msg=name
+            tensor.data, parallel_state.model.params[name].data, err_msg=name
         )
 
 
@@ -416,14 +411,14 @@ def test_frozen_round_transfers_only_shared_stack():
     state = build_server(cfg)
     backbone_before = {
         n: t.data.copy()
-        for n, t in named_global_tensors(state.model).items()
+        for n, t in state.model.params.items()
         if not n.startswith(("ree.", "classifier."))
     }
     report = run_round(state, 1)
     frozen_cost = comm_cost(slice_submodel(state.model, state.model.config.depth), MODE_FROZEN)
     assert report.bytes_up == frozen_cost * len(report.sampled)
     for name, data in backbone_before.items():
-        np.testing.assert_array_equal(named_global_tensors(state.model)[name].data, data, err_msg=name)
+        np.testing.assert_array_equal(state.model.params[name].data, data, err_msg=name)
 
 
 def test_threads_resolution(monkeypatch):

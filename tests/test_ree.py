@@ -14,7 +14,6 @@ from reefl.ree import (
     init_classifier,
     init_ree,
     modulate,
-    named_ree_tensors,
     ree_forward,
     ree_mlp_hidden,
 )
@@ -48,26 +47,26 @@ def test_ree_forward_queue_overflow():
 def test_ree_residual_zeroed_passthrough():
     rng = np.random.default_rng(2)
     ree = init_ree(8, pos_rows=4, rng=rng)
-    ree.block.wo.data[:] = 0.0
-    ree.block.mlp_w2.data[:] = 0.0
+    ree["ree.wo"].data[:] = 0.0
+    ree["ree.mlp_w2"].data[:] = 0.0
     queue = [Tensor(rng.standard_normal((1, 8)).astype(np.float32)) for _ in range(3)]
     m0, m_last = ree_forward(queue, ree)
-    np.testing.assert_allclose(m0.data, queue[0].data + ree.pos.data[0], atol=1e-6)
-    np.testing.assert_allclose(m_last.data, queue[-1].data + ree.pos.data[2], atol=1e-6)
+    np.testing.assert_allclose(m0.data, queue[0].data + ree["ree.pos"].data[0], atol=1e-6)
+    np.testing.assert_allclose(m_last.data, queue[-1].data + ree["ree.pos"].data[2], atol=1e-6)
 
 
 def full_queue_reference(queue, ree):
     """Rows 0 and q-1 of the shared block run over every queue row."""
     q = len(queue)
-    seq = stack(queue, axis=1) + narrow(ree.pos, 0, 0, q)
-    out, _ = block_forward(seq, ree.block, REE_HEADS)
+    seq = stack(queue, axis=1) + narrow(ree["ree.pos"], 0, 0, q)
+    out, _ = block_forward(seq, ree, "ree.", REE_HEADS)
     return out.select(1, 0), out.select(1, q - 1)
 
 
 def random_ree(rng, dim, pos_rows):
     ree = init_ree(dim, pos_rows=pos_rows, rng=rng, dtype=np.float64)
-    ree.block.wo.data[:] = rng.standard_normal(ree.block.wo.shape) * 0.1
-    ree.block.mlp_w2.data[:] = rng.standard_normal(ree.block.mlp_w2.shape) * 0.1
+    ree["ree.wo"].data[:] = rng.standard_normal(ree["ree.wo"].shape) * 0.1
+    ree["ree.mlp_w2"].data[:] = rng.standard_normal(ree["ree.mlp_w2"].shape) * 0.1
     return ree
 
 
@@ -92,7 +91,7 @@ def test_ree_forward_grad_through_middle_rows():
         m0, m_last = ree_forward(queue, ree)
         return tsum(m0 * w0) + tsum(m_last * w1)
 
-    params = named_ree_tensors(ree)
+    params = dict(ree)
     params.update({f"queue{i}": t for i, t in enumerate(queue)})
     report = grad_check(loss, params)
     assert report.passed, report
@@ -101,35 +100,29 @@ def test_ree_forward_grad_through_middle_rows():
 def test_recurrent_applications_share_gradients():
     rng = np.random.default_rng(3)
     ree = init_ree(6, pos_rows=4, rng=rng, dtype=np.float64)
-    ree.block.wo.data[:] = rng.standard_normal(ree.block.wo.shape) * 0.1
-    ree.block.mlp_w2.data[:] = rng.standard_normal(ree.block.mlp_w2.shape) * 0.1
+    ree["ree.wo"].data[:] = rng.standard_normal(ree["ree.wo"].shape) * 0.1
+    ree["ree.mlp_w2"].data[:] = rng.standard_normal(ree["ree.mlp_w2"].shape) * 0.1
     c0 = Tensor(rng.standard_normal((1, 6)), dtype=np.float64)
     c1 = Tensor(rng.standard_normal((1, 6)), dtype=np.float64)
-    meta = reshape(ree.z_meta, (1, 6))
+    meta = reshape(ree["ree.z_meta"], (1, 6))
 
     def loss():
         m1 = ree_forward([meta, c0], ree)
         m2 = ree_forward([meta, c0, c1], ree)
         return tsum(m1[-1]) + tsum(m2[-1])
 
-    params = {f"ree.{f}": getattr(ree.block, f) for f in (
-        "ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo",
-        "ln2_gamma", "ln2_beta", "mlp_w1", "mlp_w2",
-    )}
-    params["z_meta"] = ree.z_meta
-    params["pos"] = ree.pos
-    report = grad_check(loss, params)
+    report = grad_check(loss, ree)
     assert report.passed, report
 
 
 def test_classify_exit_cancellation_gives_bias():
     rng = np.random.default_rng(4)
     cls = init_classifier(8, 4, rng)
-    cls.bias.data[:] = rng.standard_normal(4).astype(np.float32)
+    cls["classifier.bias"].data[:] = rng.standard_normal(4).astype(np.float32)
     zcls = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
     m0 = Tensor(-zcls.data)
     logits = classify_exit(m0, zcls, cls)
-    np.testing.assert_allclose(logits.data, np.tile(cls.bias.data, (2, 1)), atol=1e-6)
+    np.testing.assert_allclose(logits.data, np.tile(cls["classifier.bias"].data, (2, 1)), atol=1e-6)
 
 
 def test_classify_exit_additivity():
@@ -284,10 +277,10 @@ def test_attention_maps_match_direct_recompute():
         assert (arr.sum(axis=1) <= 1.0 + 1e-6).all()
 
     prev = trace.activations[1]
-    blk = view.backbone.blocks[1]
+    blk = view.params
     seq = concat([reshape(prev.select(1, 0), (2, 1, 8)), narrow(prev, 1, 1, prev.shape[1])], axis=1)
-    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
-    _, attn = msa_forward(normed, normed, blk, view.config.heads)
+    normed = layer_norm(seq, blk["block2.ln1_gamma"], blk["block2.ln1_beta"])
+    _, attn = msa_forward(normed, normed, blk, "block2.", view.config.heads)
     want = attn.data[:, :, 0, 1:].mean(axis=1)
     np.testing.assert_allclose(maps.query_x, want, atol=1e-6)
 
@@ -297,13 +290,12 @@ def test_attention_maps_single_head_mean_is_identity():
     imgs = batch(np.random.default_rng(28))
     trace = forward_with_exits(view, imgs, schedule)
     maps = attention_maps(trace, 1, view)
-    attn = trace.attention[1]
-    assert attn.shape[1] == 1
     prev = trace.activations[0]
-    blk = view.backbone.blocks[0]
+    blk = view.params
     seq = concat([reshape(prev.select(1, 0), (2, 1, 8)), narrow(prev, 1, 1, prev.shape[1])], axis=1)
-    normed = layer_norm(seq, blk.ln1_gamma, blk.ln1_beta)
-    _, direct = msa_forward(normed, normed, blk, 1)
+    normed = layer_norm(seq, blk["block1.ln1_gamma"], blk["block1.ln1_beta"])
+    _, direct = msa_forward(normed, normed, blk, "block1.", 1)
+    assert direct.shape[1] == 1
     np.testing.assert_allclose(maps.query_x, direct.data[:, 0, 0, 1:], atol=1e-6)
 
 
@@ -326,8 +318,8 @@ def test_exit_only_mode_maps_missing_off_exit():
 def test_end_to_end_exit_loss_grad():
     view, schedule = make_view(depth=2, dim=8, seed=33, dtype=np.float64)
     rng = np.random.default_rng(34)
-    view.ree.block.wo.data[:] = rng.standard_normal(view.ree.block.wo.shape) * 0.1
-    view.ree.block.mlp_w2.data[:] = rng.standard_normal(view.ree.block.mlp_w2.shape) * 0.1
+    view.params["ree.wo"].data[:] = rng.standard_normal(view.params["ree.wo"].shape) * 0.1
+    view.params["ree.mlp_w2"].data[:] = rng.standard_normal(view.params["ree.mlp_w2"].shape) * 0.1
     imgs = rng.random((2, 1, 8, 8))
     labels = np.array([1, 2])
 
@@ -340,12 +332,5 @@ def test_end_to_end_exit_loss_grad():
             total = total + cross_entropy(logits, labels)
         return total
 
-    from reefl.backbone import named_backbone_tensors
-    from reefl.ree import named_classifier_tensors, named_ree_tensors
-
-    params = {}
-    params.update(named_backbone_tensors(view.backbone))
-    params.update(named_ree_tensors(view.ree))
-    params.update(named_classifier_tensors(view.classifier))
-    report = grad_check(loss, params)
+    report = grad_check(loss, view.params)
     assert report.passed, report
