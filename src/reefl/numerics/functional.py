@@ -1,7 +1,8 @@
 """Differentiable neural-net operations built on the tensor tape.
 
-Each op is a fused primitive with a hand-written backward rule; all rules
-are covered by central-difference checks in the test suite.
+Each op is a fused primitive with a hand-written backward rule that takes
+the gradient of the op's output; all rules are covered by central-difference
+checks in the test suite.
 """
 from __future__ import annotations
 
@@ -24,18 +25,15 @@ def gelu(x: Tensor) -> Tensor:
     th = np.tanh(inner)
     data = 0.5 * d * (1.0 + th)
 
-    def make(out):
-        def run():
-            if x.requires_grad:
-                sech2 = 1.0 - th * th
-                deriv = 0.5 * (1.0 + th) + 0.5 * d * sech2 * _SQRT_2_OVER_PI * (
-                    1.0 + 3.0 * _GELU_C * d * d
-                )
-                x._accumulate(out.grad * deriv)
+    def backward(g):
+        if x.requires_grad:
+            sech2 = 1.0 - th * th
+            deriv = 0.5 * (1.0 + th) + 0.5 * d * sech2 * _SQRT_2_OVER_PI * (
+                1.0 + 3.0 * _GELU_C * d * d
+            )
+            x._accumulate(g * deriv)
 
-        return run
-
-    return _from_op(data, (x,), make)
+    return _from_op(data, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -44,16 +42,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def make(out):
-        def run():
-            if x.requires_grad:
-                g = out.grad
-                dot = (g * y).sum(axis=axis, keepdims=True)
-                x._accumulate(y * (g - dot))
+    def backward(g):
+        if x.requires_grad:
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            x._accumulate(y * (g - dot))
 
-        return run
-
-    return _from_op(y, (x,), make)
+    return _from_op(y, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -61,16 +55,24 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
 
-    def make(out):
-        def run():
-            if x.requires_grad:
-                g = out.grad
-                p = np.exp(data)
-                x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
+    def backward(g):
+        if x.requires_grad:
+            p = np.exp(data)
+            x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
 
-        return run
+    return _from_op(data, (x,), backward)
 
-    return _from_op(data, (x,), make)
+
+def _centred_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x - mean`` and the biased variance over the last axis.
+
+    The variance is bitwise ``np.var(x, -1, keepdims=True)``: the same
+    squares summed, then divided by an ``np.intp`` count as numpy does.
+    """
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xc).sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
+    return xc, var
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -80,30 +82,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc, var = _centred_var(x.data)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = np.multiply(xc, inv, out=xc)
     data = gamma.data * xhat + beta.data
 
-    def make(out):
-        def run():
-            g = out.grad
-            if gamma.requires_grad:
-                axes = tuple(range(g.ndim - 1))
-                gamma._accumulate((g * xhat).sum(axis=axes))
-            if beta.requires_grad:
-                axes = tuple(range(g.ndim - 1))
-                beta._accumulate(g.sum(axis=axes))
-            if x.requires_grad:
-                dxhat = g * gamma.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * (dxhat - m1 - xhat * m2))
+    def backward(g):
+        if gamma.requires_grad:
+            axes = tuple(range(g.ndim - 1))
+            gamma._accumulate((g * xhat).sum(axis=axes))
+        if beta.requires_grad:
+            axes = tuple(range(g.ndim - 1))
+            beta._accumulate(g.sum(axis=axes))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(inv * (dxhat - m1 - xhat * m2))
 
-        return run
-
-    return _from_op(data, (x, gamma, beta), make)
+    return _from_op(data, (x, gamma, beta), backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -127,16 +124,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     rows = np.arange(batch)
     data = np.asarray(-logp[rows, labels].mean(), dtype=logits.dtype)
 
-    def make(out):
-        def run():
-            if logits.requires_grad:
-                p = np.exp(logp)
-                p[rows, labels] -= 1.0
-                logits._accumulate(out.grad * p / batch)
+    def backward(g):
+        if logits.requires_grad:
+            p = np.exp(logp)
+            p[rows, labels] -= 1.0
+            logits._accumulate(g * p / batch)
 
-        return run
-
-    return _from_op(data, (logits,), make)
+    return _from_op(data, (logits,), backward)
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
@@ -153,14 +147,10 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     terms = np.where(p.data > 0, p.data * logratio, 0.0)
     data = np.asarray(terms.sum(), dtype=p.dtype)
 
-    def make(out):
-        def run():
-            g = out.grad
-            if p.requires_grad:
-                p._accumulate(g * np.where(p.data > 0, logratio + 1.0, 0.0))
-            if q.requires_grad:
-                q._accumulate(g * np.where(p.data > 0, -p.data / qc, 0.0))
+    def backward(g):
+        if p.requires_grad:
+            p._accumulate(g * np.where(p.data > 0, logratio + 1.0, 0.0))
+        if q.requires_grad:
+            q._accumulate(g * np.where(p.data > 0, -p.data / qc, 0.0))
 
-        return run
-
-    return _from_op(data, (p, q), make)
+    return _from_op(data, (p, q), backward)

@@ -1,14 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A define-by-run tape: every operation records a backward closure on its
-output tensor, and ``Tensor.backward()`` replays the closures in reverse
-topological order. Gradients accumulate (a tensor consumed twice receives
-the sum of both path gradients). Storage defaults to float32; pass float64
-data for high-precision gradient checks.
+A define-by-run tape: every operation records a backward rule on its output
+tensor, and ``Tensor.backward()`` calls each rule with that output's
+gradient, in reverse topological order. A rule holds its inputs, never its
+output, so the graph is acyclic and reference counting frees it as soon as
+the last output is dropped. Gradients accumulate (a tensor consumed twice
+receives the sum of both path gradients); an incoming gradient array is
+stored as is, so gradient arrays may alias one another and none is ever
+written in place. ``narrow`` and ``broadcast_to`` return views of their
+input's data. Storage defaults to float32; pass float64 data for
+high-precision gradient checks.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -34,8 +38,7 @@ def no_grad():
 
 
 def _guard_finite(data: np.ndarray) -> None:
-    # min/max propagate NaN and catch +/-Inf without allocating a bool mask
-    if not (math.isfinite(data.min()) and math.isfinite(data.max())):
+    if not np.isfinite(data).all():
         raise NonFiniteError("operation produced NaN or Inf")
 
 
@@ -59,7 +62,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -91,10 +94,11 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # Never in place: the stored array may be shared with other tensors.
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
@@ -110,26 +114,28 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ShapeError("seed gradient shape mismatch")
 
+        # Post-order DFS. This visiting order fixes the order in which a
+        # tensor's gradients are summed, so it fixes the output bits. Nodes
+        # without parents (leaves, constants) have no rule and are not pushed,
+        # which leaves the order of the other nodes unchanged.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            elif node not in visited:
+                visited.add(node)
+                stack.append((node, True))
+                for p in node._parents:
+                    if p._parents and p not in visited:
+                        stack.append((p, False))
 
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar ---------------------------------------------------
 
@@ -194,8 +200,8 @@ def _lift(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_factory, guard: bool = True) -> Tensor:
-    """Build an op output; attach the backward closure only when needed.
+def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward, guard: bool = True) -> Tensor:
+    """Build an op output; attach ``backward(grad_of_output)`` only when needed.
 
     Pure data-movement ops (reshape, slice, concat, ...) pass guard=False:
     they cannot introduce non-finite values, their inputs were already checked.
@@ -211,7 +217,7 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_factory, guar
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward_factory(out)
+        out._backward = backward
     return out
 
 
@@ -232,34 +238,26 @@ def add(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     data = a.data + b.data
 
-    def make(out):
-        def run():
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
-        return run
-
-    return _from_op(data, (a, b), make)
+    return _from_op(data, (a, b), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     data = a.data - b.data
 
-    def make(out):
-        def run():
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.shape))
 
-        return run
-
-    return _from_op(data, (a, b), make)
+    return _from_op(data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -267,28 +265,21 @@ def mul(a: Tensor, b) -> Tensor:
         s = float(b)
         data = a.data * s
 
-        def make_scalar(out):
-            def run():
-                if a.requires_grad:
-                    a._accumulate(out.grad * s)
+        def backward_scalar(g):
+            if a.requires_grad:
+                a._accumulate(g * s)
 
-            return run
-
-        return _from_op(data, (a,), make_scalar)
+        return _from_op(data, (a,), backward_scalar)
 
     data = a.data * b.data
 
-    def make(out):
-        def run():
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-        return run
-
-    return _from_op(data, (a, b), make)
+    return _from_op(data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -298,61 +289,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
 
-    def make(out):
-        def run():
-            g = out.grad
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            a._accumulate(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.shape))
 
-        return run
-
-    return _from_op(data, (a, b), make)
+    return _from_op(data, (a, b), backward)
 
 
 def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(t.data, axes)
 
-    def make(out):
-        def run():
-            if t.requires_grad:
-                inverse = sorted(range(len(axes)), key=axes.__getitem__)
-                t._accumulate(np.transpose(out.grad, inverse))
+    def backward(g):
+        if t.requires_grad:
+            inverse = sorted(range(len(axes)), key=axes.__getitem__)
+            t._accumulate(np.transpose(g, inverse))
 
-        return run
-
-    return _from_op(data, (t,), make, guard=False)
+    return _from_op(data, (t,), backward, guard=False)
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = t.data.reshape(shape)
     old = t.shape
 
-    def make(out):
-        def run():
-            if t.requires_grad:
-                t._accumulate(out.grad.reshape(old))
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g.reshape(old))
 
-        return run
-
-    return _from_op(data, (t,), make, guard=False)
+    return _from_op(data, (t,), backward, guard=False)
 
 
 def broadcast_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = np.broadcast_to(t.data, shape).copy()
+    data = np.broadcast_to(t.data, shape)
 
-    def make(out):
-        def run():
-            if t.requires_grad:
-                t._accumulate(_unbroadcast(out.grad, t.shape))
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(_unbroadcast(g, t.shape))
 
-        return run
-
-    return _from_op(data, (t,), make, guard=False)
+    return _from_op(data, (t,), backward, guard=False)
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -362,20 +340,16 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
 
-    def make(out):
-        def run():
-            g = out.grad
-            offset = 0
-            index: list = [slice(None)] * g.ndim
-            for t, size in zip(ts, sizes):
-                if t.requires_grad:
-                    index[axis] = slice(offset, offset + size)
-                    t._accumulate(g[tuple(index)])
-                offset += size
+    def backward(g):
+        offset = 0
+        index: list = [slice(None)] * g.ndim
+        for t, size in zip(ts, sizes):
+            if t.requires_grad:
+                index[axis] = slice(offset, offset + size)
+                t._accumulate(g[tuple(index)])
+            offset += size
 
-        return run
-
-    return _from_op(data, ts, make, guard=False)
+    return _from_op(data, ts, backward, guard=False)
 
 
 def stack(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -395,39 +369,32 @@ def narrow(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * t.data.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
-    data = t.data[index].copy()
+    data = t.data[index]
 
-    def make(out):
-        def run():
-            if t.requires_grad:
-                full = np.zeros_like(t.data)
-                full[index] = out.grad
-                t._accumulate(full)
+    def backward(g):
+        if t.requires_grad:
+            full = np.zeros_like(t.data)
+            full[index] = g
+            t._accumulate(full)
 
-        return run
-
-    return _from_op(data, (t,), make, guard=False)
+    return _from_op(data, (t,), backward, guard=False)
 
 
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = t.data.sum(axis=axis, keepdims=keepdims)
     data = np.asarray(data)
 
-    def make(out):
-        def run():
-            if not t.requires_grad:
-                return
-            g = out.grad
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % t.data.ndim for a in axes)
-                shape = tuple(1 if i in axes else d for i, d in enumerate(t.shape))
-                g = g.reshape(shape)
-            t._accumulate(np.broadcast_to(g, t.shape).copy())
+    def backward(g):
+        if not t.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            axes = (axis,) if isinstance(axis, int) else tuple(axis)
+            axes = tuple(a % t.data.ndim for a in axes)
+            shape = tuple(1 if i in axes else d for i, d in enumerate(t.shape))
+            g = g.reshape(shape)
+        t._accumulate(np.broadcast_to(g, t.shape).copy())
 
-        return run
-
-    return _from_op(data, (t,), make)
+    return _from_op(data, (t,), backward)
 
 
 def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -22,6 +22,7 @@ from reefl.numerics import (
     transpose,
     tsum,
 )
+from reefl.numerics.functional import _centred_var
 from reefl.numerics.tensor import _from_op
 
 
@@ -83,6 +84,19 @@ def test_layer_norm_already_normalized():
     x = Tensor(np.array([[1.0, -1.0]]), dtype=np.float64)
     out = layer_norm(x, Tensor(np.ones(2), dtype=np.float64), Tensor(np.zeros(2), dtype=np.float64), eps=1e-12)
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [8, 16, 17, 32, 64])
+def test_layer_norm_moments_match_numpy_bitwise(dtype, d):
+    x = (np.random.default_rng(d).standard_normal((3, 5, d)) * 3.0 + 1.5).astype(dtype)
+    xc, var = _centred_var(x)
+    np.testing.assert_array_equal(var, np.var(x, -1, keepdims=True))
+    assert var.dtype == dtype
+    eps = 1e-5
+    old_xhat = (x - x.mean(-1, keepdims=True)) * (1.0 / np.sqrt(np.var(x, -1, keepdims=True) + eps))
+    out = layer_norm(Tensor(x), Tensor(np.ones(d, dtype)), Tensor(np.zeros(d, dtype)), eps=eps)
+    np.testing.assert_array_equal(out.data, old_xhat)
 
 
 def test_layer_norm_grad_matches_fd():
@@ -289,6 +303,17 @@ def test_double_consumption_accumulates():
     np.testing.assert_allclose(x.grad, 2 * x.data + 4.0)
 
 
+def test_shared_gradient_array_is_never_written_in_place():
+    # add hands the same gradient array to a and b; a's second gradient
+    # must not leak into b through it.
+    a = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
+    z = tsum(a + b) + tsum(a * 2.0)
+    z.backward()
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
@@ -311,13 +336,10 @@ def test_grad_check_flags_corrupted_backward():
     def bad_double(t):
         data = t.data * 2.0
 
-        def make(out):
-            def run():
-                t._accumulate(out.grad * 3.0)  # wrong rule on purpose
+        def backward(g):
+            t._accumulate(g * 3.0)  # wrong rule on purpose
 
-            return run
-
-        return _from_op(data, (t,), make)
+        return _from_op(data, (t,), backward)
 
     rng = np.random.default_rng(14)
     w = param(rng, 4)
@@ -331,3 +353,14 @@ def test_nonfinite_raises():
     big = Tensor([1e300], dtype=np.float64)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         big * 1e300
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        big * -1e300
+    with pytest.raises(NonFiniteError):
+        Tensor([1.0, np.nan])
+    # a finite row whose sum overflows: x - mean is -Inf, 1/sqrt(var) is 0, xhat is NaN
+    x = Tensor([[1.7e308, 1.7e308]], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, var = _centred_var(x.data)
+        assert np.isnan(xc * (1.0 / np.sqrt(var + 1e-5))).all()
+        with pytest.raises(NonFiniteError):
+            layer_norm(x, Tensor(np.ones(2), dtype=np.float64), Tensor(np.zeros(2), dtype=np.float64))

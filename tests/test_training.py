@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_view
-from reefl.errors import ConfigError, ScheduleError, StateError, TraceError
+from reefl.errors import (
+    ConfigError,
+    DivergenceError,
+    NonFiniteError,
+    ScheduleError,
+    StateError,
+    TraceError,
+)
 from reefl.numerics import Tensor, grad_check
 from reefl.ree import ForwardTrace, forward_with_exits
 from reefl.training import (
@@ -335,3 +343,30 @@ def test_local_train_determinism():
         results.append({k: v.data.copy() for k, v in updated.items()})
     for name in results[0]:
         np.testing.assert_array_equal(results[0][name], results[1][name], err_msg=name)
+
+
+def test_local_train_leaves_no_reference_cycles():
+    # Each training step's graph must be freed by reference counting alone.
+    client = make_client(np.random.default_rng(17), n=4)
+    view, schedule = make_view(depth=2, seed=18)
+    cfg = TrainConfig(total_rounds=5, batch_size=4)
+    gc.collect()
+    gc.disable()
+    try:
+        local_train(client, view, cfg, 1, np.random.default_rng(19), schedule)
+        del client, view, schedule
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_local_train_overflow_raises_divergence_naming_client_round_batch():
+    client = make_client(np.random.default_rng(20), n=4, cid=3)
+    view, schedule = make_view(depth=2, seed=21)
+    view.params["patch_embed"].data[:] = 1e38  # the first matmul overflows float32
+    cfg = TrainConfig(total_rounds=5, batch_size=4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        local_train(client, view, cfg, 2, np.random.default_rng(22), schedule)
+    assert str(info.value) == "non-finite loss for client 3 in round 2, batch 0"
+    assert isinstance(info.value.__cause__, NonFiniteError)
