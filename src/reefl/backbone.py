@@ -44,8 +44,9 @@ class BackboneConfig:
     image_channels: int = 1
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
+        for key in ("depth", "dim", "heads", "patch_size", "image_channels"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch_size != 0:

@@ -152,6 +152,8 @@ class ExperimentConfig:
                 raise ConfigError("data.per_class must be >= 1")
         if not 0 < self["federation.sample_fraction"] <= 1:
             raise ConfigError("federation.sample_fraction must be in (0, 1]")
+        if self["federation.threads"] < 0:
+            raise ConfigError(f"federation.threads must be >= 0, got {self['federation.threads']}")
         if self["federation.eval_interval"] < 1:
             raise ConfigError("federation.eval_interval must be >= 1")
         if self["federation.num_clients"] < schedule.num_exits:

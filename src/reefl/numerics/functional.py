@@ -19,11 +19,17 @@ PROB_FLOOR = 1e-12  # probabilities are floored at this inside logs
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     d = x.data
-    # d * d * d, not d**3: numpy evaluates an integer power of a float array
-    # with libm pow per element, about 100x slower.
-    inner = _SQRT_2_OVER_PI * (d + _GELU_C * d * d * d)
-    th = np.tanh(inner)
-    data = 0.5 * d * (1.0 + th)
+    # th = tanh(sqrt(2/pi) * (d + c * d * d * d)), built in one buffer in the
+    # same operation order. d * d * d, not d**3: numpy evaluates an integer
+    # power of a float array with libm pow per element, about 100x slower.
+    th = np.multiply(_GELU_C, d, out=np.empty_like(d))  # an array even when d is 0-d
+    th *= d
+    th *= d
+    np.add(d, th, out=th)
+    th *= _SQRT_2_OVER_PI
+    np.tanh(th, out=th)
+    data = 0.5 * d
+    data *= 1.0 + th
 
     def backward(g):
         if x.requires_grad:
@@ -38,9 +44,9 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax; each slice along ``axis`` sums to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
@@ -51,9 +57,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    data -= np.log(np.exp(data).sum(axis=axis, keepdims=True))
 
     def backward(g):
         if x.requires_grad:

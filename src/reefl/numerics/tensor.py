@@ -7,9 +7,15 @@ output, so the graph is acyclic and reference counting frees it as soon as
 the last output is dropped. Gradients accumulate (a tensor consumed twice
 receives the sum of both path gradients); an incoming gradient array is
 stored as is, so gradient arrays may alias one another and none is ever
-written in place. ``narrow`` and ``broadcast_to`` return views of their
-input's data. Storage defaults to float32; pass float64 data for
-high-precision gradient checks.
+written in place.
+
+Graphs are single-use. Backward frees activations and gradients as it goes:
+once an op output's rule has run, the output drops its rule, its parents
+and its gradient, so only leaves keep ``.grad``. A second ``backward()``
+that reaches a consumed op output raises ``StateError``.
+
+``narrow`` and ``broadcast_to`` return views of their input's data. Storage
+defaults to float32; pass float64 data for high-precision gradient checks.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeError
+from ..errors import NonFiniteError, ShapeError, StateError
 
 DEFAULT_DTYPE = np.float32
 
@@ -104,6 +110,7 @@ class Tensor:
         """Run reverse-mode accumulation from this tensor.
 
         With no explicit seed the tensor must be scalar-sized; the seed is 1.
+        The graph is consumed: afterwards only leaves hold gradients.
         """
         if grad is None:
             if self.data.size != 1:
@@ -116,8 +123,9 @@ class Tensor:
 
         # Post-order DFS. This visiting order fixes the order in which a
         # tensor's gradients are summed, so it fixes the output bits. Nodes
-        # without parents (leaves, constants) have no rule and are not pushed,
-        # which leaves the order of the other nodes unchanged.
+        # without a rule (leaves, constants) are not pushed, which leaves the
+        # order of the other nodes unchanged; a consumed node keeps a rule
+        # (one that raises) so that reaching it again is an error.
         topo: list[Tensor] = []
         visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -129,13 +137,23 @@ class Tensor:
                 visited.add(node)
                 stack.append((node, True))
                 for p in node._parents:
-                    if p._parents and p not in visited:
+                    if p._backward is not None and p not in visited:
                         stack.append((p, False))
+        del visited
 
+        # The graph is single-use: once an op output's rule has run, the node
+        # lets go of its rule, parents and gradient, so activations and
+        # gradients are freed while the sweep goes on. Leaves keep ``grad``.
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _consumed
 
     # -- operator sugar ---------------------------------------------------
 
@@ -192,6 +210,10 @@ class Tensor:
         out = narrow(self, axis, index, index + 1)
         new_shape = out.shape[:axis] + out.shape[axis + 1 :]
         return reshape(out, new_shape)
+
+
+def _consumed(g) -> None:
+    raise StateError("backward() through a graph that an earlier backward() consumed")
 
 
 def _lift(x, dtype) -> Tensor:

@@ -51,6 +51,9 @@ class TrainConfig:
             raise ConfigError("tau must be positive")
         if self.clip <= 0:
             raise ConfigError("clip must be positive")
+        for key in ("lr0", "lr_min", "eta_max"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.batch_size < 1 or self.local_epochs < 1 or self.total_rounds < 1:
             raise ConfigError("batch_size, local_epochs and total_rounds must be >= 1")
         if self.mode not in (MODE_FULL, MODE_FROZEN):

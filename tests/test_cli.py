@@ -274,3 +274,20 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
                    "--output", str(tmp_path / "attn.csv"))
     assert_clean_failure(proc, 2, "--samples must be comma-separated integers")
     assert not (tmp_path / "attn.csv").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("model.dim=0", "dim must be >= 1, got 0"),
+    ("model.heads=0", "heads must be >= 1, got 0"),
+    ("model.patch_size=0", "patch_size must be >= 1, got 0"),
+    ("data.channels=0", "image_channels must be >= 1, got 0"),
+    ("train.lr0=-1", "lr0 must be >= 0, got -1.0"),
+    ("train.lr_min=-1", "lr_min must be >= 0, got -1.0"),
+    ("train.eta_max=-1", "eta_max must be >= 0, got -1.0"),
+    ("federation.threads=-2", "federation.threads must be >= 0, got -2"),
+])
+def test_run_out_of_range_value_exit_2(tmp_path, override, message):
+    out = tmp_path / "out"
+    proc = run_cli(*tiny_args(out), f"--{override}")
+    assert_clean_failure(proc, 2, message)
+    assert not out.exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reefl.errors import NonFiniteError, ShapeError
+from reefl.errors import NonFiniteError, ShapeError, StateError
 from reefl.numerics import (
     Tensor,
     concat,
@@ -156,6 +156,50 @@ def test_log_softmax_grad_matches_fd():
     w = Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
     report = grad_check(lambda: tsum(log_softmax(x) * w), {"x": x})
     assert report.passed, report
+
+
+# -- in-place kernels against the formulas they replaced ----------------------
+
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+
+
+def old_gelu(d, g):
+    th = np.tanh(_SQRT_2_OVER_PI * (d + 0.044715 * d * d * d))
+    sech2 = 1.0 - th * th
+    deriv = 0.5 * (1.0 + th) + 0.5 * d * sech2 * _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * d * d)
+    return 0.5 * d * (1.0 + th), g * deriv
+
+
+def old_softmax(d, g):
+    e = np.exp(d - d.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def old_log_softmax(d, g):
+    shifted = d - d.max(axis=-1, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return data, g - np.exp(data) * g.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5, 17), (4, 65, 256)], ids=["small", "256KB+"])
+@pytest.mark.parametrize("op, old", [(gelu, old_gelu), (softmax, old_softmax), (log_softmax, old_log_softmax)],
+                         ids=["gelu", "softmax", "log_softmax"])
+def test_kernels_match_old_formulas_bitwise(op, old, shape, dtype):
+    # 65,536 float32 elements (256 KB) is where numpy starts reusing the
+    # temporaries of an expression in place; both sides of that line are pinned.
+    rng = np.random.default_rng(sum(shape))
+    d = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    want_out, want_grad = old(d, g)
+    x = Tensor(d, requires_grad=True)
+    out = op(x)
+    np.testing.assert_array_equal(out.data, want_out)
+    assert out.dtype == dtype
+    out.backward(g)
+    np.testing.assert_array_equal(x.grad, want_grad)
+    assert x.grad.dtype == dtype
 
 
 # -- cross entropy --------------------------------------------------------------
@@ -312,6 +356,22 @@ def test_shared_gradient_array_is_never_written_in_place():
     z.backward()
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = Tensor([2.0, 3.0], requires_grad=True, dtype=np.float64)
+    y = gelu(x)
+    tsum(y).backward()
+    first = x.grad
+    assert first is not None and y.grad is None and y._parents == ()
+    with pytest.raises(StateError):
+        tsum(y * 2.0).backward()
+    with pytest.raises(StateError):
+        tsum(y).backward()
+    # a fresh graph over the same leaves still works
+    x.grad = None
+    tsum(gelu(x) * 2.0).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
 
 
 def test_no_grad_suppresses_graph():

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ from reefl.errors import (
     TraceError,
 )
 from reefl.numerics import Tensor, grad_check
+from reefl.numerics.tensor import _consumed
 from reefl.ree import ForwardTrace, forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
@@ -359,6 +361,51 @@ def test_local_train_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_backward_frees_graph_as_it_goes(monkeypatch):
+    # One training step of a budget-8 client at criterion-7 shapes (d=16, 17
+    # tokens, 24 samples). Backward may add at most a quarter to the memory
+    # the graph holds when it starts: each node's gradient and activations
+    # are released once its rule has run.
+    client = make_client(np.random.default_rng(23), n=24, image=16)
+    view, schedule = make_view(depth=8, dim=16, heads=4, image=16, patch=4, exit_blocks=(2, 4, 6, 8), seed=24)
+    cfg = TrainConfig(total_rounds=5, batch_size=24)
+    run_backward = Tensor.backward
+    seen = {}
+
+    def measured_backward(self, grad=None):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_backward(self, grad)
+        seen["start"], seen["peak"] = start, tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(Tensor, "backward", measured_backward)
+    tracemalloc.start()
+    try:
+        local_train(client, view, cfg, 1, np.random.default_rng(25), schedule)
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] <= 1.25 * seen["start"], seen
+
+    def checked_backward(self, grad=None):
+        nodes, stack = {}, [self]
+        while stack:
+            node = stack.pop()
+            if node not in nodes:
+                nodes[node] = node._backward is not None
+                stack.extend(node._parents)
+        run_backward(self, grad)
+        ops = [node for node, is_op in nodes.items() if is_op]
+        leaves = [node for node, is_op in nodes.items() if not is_op and node.requires_grad]
+        assert ops and leaves
+        assert all(n._backward is _consumed and n._parents == () and n.grad is None for n in ops)
+        assert all(leaf.grad is not None for leaf in leaves)
+        seen["checked"] = True
+
+    monkeypatch.setattr(Tensor, "backward", checked_backward)
+    local_train(client, view, cfg, 2, np.random.default_rng(26), schedule)
+    assert seen["checked"]
 
 
 def test_local_train_overflow_raises_divergence_naming_client_round_batch():
