@@ -122,14 +122,6 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float3
 # -- forward ---------------------------------------------------------------
 
 
-def _as_batched(z: Tensor) -> tuple[Tensor, bool]:
-    if z.data.ndim == 2:
-        return reshape(z, (1,) + z.shape), True
-    if z.data.ndim == 3:
-        return z, False
-    raise ShapeError(f"token tensor must be rank 2 or 3, got {z.shape}")
-
-
 def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     """[B,C,H,W] -> [B, n, C*p*p], row-major over the patch grid."""
     b, c, h, w = images.shape
@@ -144,23 +136,18 @@ def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
 def tokenize(images, params: dict, cfg: BackboneConfig) -> Tensor:
     """Project patches, prepend the class token, add positional embeddings.
 
-    Accepts one image [C,H,W] (returns [(n+1),d]) or a batch [B,C,H,W]
-    (returns [B,(n+1),d]).
+    A batch [B,C,H,W] becomes tokens [B,(n+1),d].
     """
     arr = images.data if isinstance(images, Tensor) else np.asarray(images)
-    single = arr.ndim == 3
-    if single:
-        arr = arr[None]
     if arr.ndim != 4:
-        raise ShapeError(f"expected [C,H,W] or [B,C,H,W], got {arr.shape}")
+        raise ShapeError(f"expected [B,C,H,W], got {arr.shape}")
     patch_embed = params["patch_embed"]
     patches = extract_patches(arr.astype(patch_embed.dtype, copy=False), cfg.patch_size)
     tokens = matmul(Tensor(patches), patch_embed)  # [B,n,d]
     b = tokens.shape[0]
     cls = broadcast_to(reshape(params["class_token"], (1, 1, cfg.dim)), (b, 1, cfg.dim))
     z = concat([cls, tokens], axis=1)
-    z = z + params["pos_embed"]
-    return z.select(0, 0) if single else z
+    return z + params["pos_embed"]
 
 
 def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) -> tuple[Tensor, Tensor]:
@@ -169,16 +156,15 @@ def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) 
     Reads the block's ``wq``/``wk``/``wv``/``wo`` under ``prefix``.
     Self-attention passes the same tensor as ``zq`` and ``zkv``; a caller that
     reads only some output rows passes just those rows as ``zq``. Both are
-    [T,d] or both [B,T,d]. Returns (output, attention): the output has
-    ``zq``'s shape, and attention rows are softmax-normalized and shaped
-    [heads,Tq,Tkv] (or [B,heads,Tq,Tkv] for batched input).
+    [B,T,d]. Returns (output, attention): the output has ``zq``'s shape, and
+    attention rows are softmax-normalized and shaped [B,heads,Tq,Tkv].
     """
-    qb, single = _as_batched(zq)
-    kvb, kv_single = _as_batched(zkv)
-    if kv_single != single or kvb.shape[0] != qb.shape[0]:
+    if zq.data.ndim != 3 or zkv.data.ndim != 3:
+        raise ShapeError(f"token tensors must be [B,T,d], got {zq.shape} and {zkv.shape}")
+    if zkv.shape[0] != zq.shape[0]:
         raise ShapeError(f"query tokens {zq.shape} and key/value tokens {zkv.shape} disagree")
-    b, tq, _ = qb.shape
-    tkv = kvb.shape[1]
+    b, tq, _ = zq.shape
+    tkv = zkv.shape[1]
     proj = params[prefix + "wq"].shape[1]
     if proj % heads != 0:
         raise ShapeError(f"attention width {proj} not divisible by {heads} heads")
@@ -188,16 +174,13 @@ def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) 
     def split(x: Tensor, t: int, axes) -> Tensor:  # [B,t,proj] -> heads-major layout
         return transpose(reshape(x, (b, t, heads, hd)), axes)
 
-    q = split(matmul(qb, params[prefix + "wq"]), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
-    k_t = split(matmul(kvb, params[prefix + "wk"]), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
-    v = split(matmul(kvb, params[prefix + "wv"]), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
+    q = split(matmul(zq, params[prefix + "wq"]), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
+    k_t = split(matmul(zkv, params[prefix + "wk"]), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
+    v = split(matmul(zkv, params[prefix + "wv"]), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
     attn = softmax(matmul(q, k_t) * scale, axis=-1)  # [B,h,Tq,Tkv]
     ctx = matmul(attn, v)  # [B,h,Tq,hd]
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, proj))
-    out = matmul(merged, params[prefix + "wo"])
-    if single:
-        return out.select(0, 0), attn.select(0, 0)
-    return out, attn
+    return matmul(merged, params[prefix + "wo"]), attn
 
 
 def mlp_residual(zbar: Tensor, params: dict, prefix: str, eps: float = LN_EPS) -> Tensor:

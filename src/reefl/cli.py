@@ -2,8 +2,7 @@
 
 Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
 Config values come from an optional key=value file plus ``--key=value``
-overrides (e.g. ``--train.lr0=0.01``); REEFL_THREADS caps client-training
-parallelism.
+overrides (e.g. ``--train.lr0=0.01``).
 """
 from __future__ import annotations
 

@@ -64,14 +64,12 @@ REGISTRY: dict[str, tuple] = {
     "train.eta_max": (float, 1.0),
     "train.ramp_rounds": (int, 300),
     "train.kd_enabled": (bool, True),
-    "train.kd_teacher_grad": (bool, False),
     "train.mode": (str, "full"),
     "federation.num_clients": (int, 20),
     "federation.sample_fraction": (float, 0.1),
     "federation.total_rounds": (int, 100),
     "federation.eval_interval": (int, 10),
     "federation.exclude_underbudget": (bool, False),
-    "federation.threads": (int, 0),
     "data.source": (str, "synthetic"),
     "data.path": (str, ""),
     "data.num_classes": (int, 4),
@@ -125,7 +123,6 @@ class ExperimentConfig:
             eta_max=self["train.eta_max"],
             ramp_rounds=self["train.ramp_rounds"],
             kd_enabled=self["train.kd_enabled"],
-            kd_teacher_grad=self["train.kd_teacher_grad"],
             mode=self["train.mode"],
         )
 
@@ -152,8 +149,6 @@ class ExperimentConfig:
                 raise ConfigError("data.per_class must be >= 1")
         if not 0 < self["federation.sample_fraction"] <= 1:
             raise ConfigError("federation.sample_fraction must be in (0, 1]")
-        if self["federation.threads"] < 0:
-            raise ConfigError(f"federation.threads must be >= 0, got {self['federation.threads']}")
         if self["federation.eval_interval"] < 1:
             raise ConfigError("federation.eval_interval must be >= 1")
         if self["federation.num_clients"] < schedule.num_exits:

@@ -2,17 +2,14 @@
 
 The model is one flat ``name -> Tensor`` dict (see ``Model``). Each round
 samples clients, hands every one a copy of the names its budget covers
-(blocks 1..budget plus every non-block name), trains them (optionally in
-parallel; results are bit-identical either way because every client owns a
-private parameter copy and a private RNG stream), then averages every
-returned name, weighted by the sample count of exactly the clients whose
-budget covers it.
+(blocks 1..budget plus every non-block name), trains them one after
+another, each on its private parameter copy and private RNG stream, then
+averages every returned name, weighted by the sample count of exactly the
+clients whose budget covers it.
 """
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,10 +72,6 @@ class ClientState:
     test: list = field(default_factory=list)
     estimate: RunningEstimate = field(default_factory=RunningEstimate)
     last_train_loss: float = 0.0
-
-    @property
-    def num_train(self) -> int:
-        return len(self.train)
 
 
 @dataclass
@@ -241,20 +234,7 @@ class ServerState:
     clients: list
     test_set: list
     train_cfg: TrainConfig
-    threads: int = 1
     seed: int = 0
-
-
-def resolve_threads(cfg_threads: int) -> int:
-    if cfg_threads > 0:
-        return cfg_threads
-    env = os.environ.get("REEFL_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"REEFL_THREADS={env!r} is not an integer") from exc
-    return 1
 
 
 def build_server(cfg: ExperimentConfig) -> ServerState:
@@ -300,7 +280,6 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
         clients=clients,
         test_set=test_set,
         train_cfg=cfg.train_config(),
-        threads=resolve_threads(cfg["federation.threads"]),
         seed=seed,
     )
 
@@ -331,11 +310,7 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
         )
         return params, n * state.train_cfg.local_epochs, client.budget, comm_cost(view, state.train_cfg.mode)
 
-    if state.threads > 1 and len(sampled) > 1:
-        with ThreadPoolExecutor(max_workers=state.threads) as pool_exec:
-            results = list(pool_exec.map(train_one, sampled))
-    else:
-        results = [train_one(cid) for cid in sampled]
+    results = [train_one(cid) for cid in sampled]
 
     updates = [(params, weight, budget) for params, weight, budget, _ in results]
     per_client_bytes = [cost for _, _, _, cost in results]

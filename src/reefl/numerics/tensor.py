@@ -33,7 +33,11 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Disable graph construction inside the block (forward-only)."""
+    """Disable graph construction inside the block (forward-only).
+
+    The flag is process-global, not per thread. That is safe because the
+    simulator runs single-threaded: nothing else builds graphs while it is off.
+    """
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -84,12 +88,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def __float__(self) -> float:
-        return self.item()
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -428,7 +426,3 @@ def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         for a in axes:
             count *= t.shape[a % t.data.ndim]
     return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)

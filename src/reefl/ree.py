@@ -157,11 +157,7 @@ def classify_exit(m0: Tensor, zcls: Tensor, params: dict) -> Tensor:
     if m0.shape != zcls.shape:
         raise ShapeError(f"classifier inputs disagree: {m0.shape} vs {zcls.shape}")
     h = layer_norm(m0 + zcls, params["classifier.ln_gamma"], params["classifier.ln_beta"])
-    weight, bias = params["classifier.weight"], params["classifier.bias"]
-    if h.data.ndim == 1:
-        h = reshape(h, (1,) + h.shape)
-        return matmul(h, weight).select(0, 0) + bias
-    return matmul(h, weight) + bias
+    return matmul(h, params["classifier.weight"]) + params["classifier.bias"]
 
 
 def modulate(tokens: Tensor, m_last: Tensor) -> Tensor:
@@ -170,9 +166,6 @@ def modulate(tokens: Tensor, m_last: Tensor) -> Tensor:
     All other rows pass through untouched; callers keep the original class
     token for classification, which happens before the replacement.
     """
-    if tokens.data.ndim == 2:
-        row = reshape(m_last, (1,) + m_last.shape)
-        return concat([row, narrow(tokens, 0, 1, tokens.shape[0])], axis=0)
     b, t, d = tokens.shape
     row = reshape(m_last, (b, 1, d))
     return concat([row, narrow(tokens, 1, 1, t)], axis=1)

@@ -41,7 +41,6 @@ class TrainConfig:
     eta_max: float = 1.0
     ramp_rounds: int = 300
     kd_enabled: bool = True
-    kd_teacher_grad: bool = False  # teacher logits are detached by default
     mode: str = MODE_FULL
 
     def __post_init__(self):
@@ -209,7 +208,7 @@ def local_train(
                     total = total + ce
                 if cfg.kd_enabled and len(ces) >= 2:
                     teacher = select_teacher(client.estimate)
-                    kd, degenerate = kd_loss(trace, teacher, cfg.tau, detach_teacher=not cfg.kd_teacher_grad)
+                    kd, degenerate = kd_loss(trace, teacher, cfg.tau)
                     if not degenerate:
                         total = total + kd * eta
                 batch_losses.append(total.item())

@@ -5,6 +5,9 @@ slow behavioral check (several federated runs); everything else is fast.
 """
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reefl
 from conftest import make_view
 from reefl.backbone import BackboneConfig
 from reefl.config import parse_config
@@ -24,7 +28,6 @@ from reefl.federation import (
     rng_for,
     run_round,
     slice_submodel,
-    write_metrics_csv,
 )
 from reefl.numerics import Tensor, grad_check
 from reefl.ree import ExitSchedule, forward_with_exits
@@ -71,15 +74,18 @@ CRITERION7_BASE = {
 CRITERION7_SEEDS = (0, 1, 2)
 
 
-def criterion7_config(seed, modulation=True, kd=True, threads=1):
+def criterion7_overrides(seed, modulation=True, kd=True):
     overrides = dict(CRITERION7_BASE)
     overrides.update({
         "seed": seed,
         "schedule.modulation_enabled": str(modulation).lower(),
         "train.kd_enabled": str(kd).lower(),
-        "federation.threads": threads,
     })
-    return parse_config(overrides=[f"{k}={v}" for k, v in overrides.items()])
+    return [f"{k}={v}" for k, v in overrides.items()]
+
+
+def criterion7_config(seed, modulation=True, kd=True):
+    return parse_config(overrides=criterion7_overrides(seed, modulation, kd))
 
 
 def _final_mean_accuracy(cfg):
@@ -418,36 +424,48 @@ def test_criterion_8_communication_invariance():
 # -- criterion 9 --------------------------------------------------------------
 
 
-def _criterion9_run(args):
-    path_str, threads = args
-    from reefl.federation import run_experiment_with_state
+def _start_criterion9_run(out_dir: Path, blas_threads: int) -> subprocess.Popen:
+    """The criterion-7 run at seed 0 as a fresh ``reefl run`` process.
 
-    cfg = criterion7_config(seed=0, threads=threads)
-    reports, state = run_experiment_with_state(cfg)
-    path = Path(path_str)
-    path.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(path / "metrics.csv", reports, state.model.schedule.num_exits)
-    return {n: t.data.copy() for n, t in state.model.params.items()}
+    BLAS reads its thread count when numpy loads, so only a new interpreter
+    (not a forked worker) runs under the given OPENBLAS_NUM_THREADS.
+    """
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(reefl.__file__).resolve().parents[1]),
+        OPENBLAS_NUM_THREADS=str(blas_threads),
+    )
+    args = [f"--{kv}" for kv in criterion7_overrides(seed=0)] + [f"--output_dir={out_dir}"]
+    return subprocess.Popen(
+        [sys.executable, "-m", "reefl.cli", "run", *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def _finish(proc: subprocess.Popen) -> None:
+    _, err = proc.communicate(timeout=900)
+    assert proc.returncode == 0, err
 
 
 @pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        fut_a = pool.submit(_criterion9_run, (str(tmp_path / "a"), 1))
-        fut_b = pool.submit(_criterion9_run, (str(tmp_path / "b"), 1))
-        params_a, params_b = fut_a.result(), fut_b.result()
-    params_par = _criterion9_run((str(tmp_path / "par"), 4))
+    pair = [_start_criterion9_run(tmp_path / name, blas_threads=2) for name in ("a", "b")]
+    for proc in pair:
+        _finish(proc)
+    _finish(_start_criterion9_run(tmp_path / "blas1", blas_threads=1))
 
-    bytes_equal = (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
-    parallel_bytes_equal = (
-        (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "par/metrics.csv").read_bytes()
-    )
-    serial_repeat = all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
-    parallel_equal = all(np.array_equal(params_a[n], params_par[n]) for n in params_a)
+    def same(x: str, y: str) -> bool:
+        return all(
+            (tmp_path / x / f).read_bytes() == (tmp_path / y / f).read_bytes()
+            for f in ("metrics.csv", "checkpoint.ckpt")
+        )
+
+    rerun_equal, blas_equal = same("a", "b"), same("a", "blas1")
     _report(
         "criterion 9 (determinism)",
-        bytes_equal and serial_repeat and parallel_equal and parallel_bytes_equal,
-        f"rerun metrics byte-identical={bytes_equal}, parallel(4)==serial bitwise={parallel_equal}",
+        rerun_equal and blas_equal,
+        f"metrics.csv and checkpoint.ckpt byte-identical on rerun={rerun_equal}, "
+        f"at 1 vs 2 BLAS threads={blas_equal}",
     )
 
 

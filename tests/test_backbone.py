@@ -32,9 +32,9 @@ def test_tokenize_shape():
     cfg = tiny_cfg()
     rng = np.random.default_rng(0)
     params = init_backbone(cfg, rng)
-    img = rng.random((1, 8, 8)).astype(np.float32)
+    img = rng.random((1, 1, 8, 8)).astype(np.float32)
     z = tokenize(img, params, cfg)
-    assert z.shape == (5, cfg.dim)  # 4 patch tokens + class token
+    assert z.data[0].shape == (5, cfg.dim)  # 4 patch tokens + class token
     batch = rng.random((3, 1, 8, 8)).astype(np.float32)
     zb = tokenize(batch, params, cfg)
     assert zb.shape == (3, 5, cfg.dim)
@@ -44,22 +44,22 @@ def test_tokenize_zero_image_keeps_class_token():
     cfg = tiny_cfg()
     params = init_backbone(cfg, np.random.default_rng(1))
     params["pos_embed"].data[:] = 0.0
-    z = tokenize(np.zeros((1, 8, 8), dtype=np.float32), params, cfg)
-    np.testing.assert_array_equal(z.data[0], params["class_token"].data)
+    z = tokenize(np.zeros((1, 1, 8, 8), dtype=np.float32), params, cfg)
+    np.testing.assert_array_equal(z.data[0, 0], params["class_token"].data)
 
 
 def test_tokenize_indivisible_image():
     cfg = tiny_cfg()
     params = init_backbone(cfg, np.random.default_rng(2))
     with pytest.raises(ConfigError):
-        tokenize(np.zeros((1, 9, 9), dtype=np.float32), params, cfg)
+        tokenize(np.zeros((1, 1, 9, 9), dtype=np.float32), params, cfg)
 
 
 def test_tokenize_grad_matches_fd():
     cfg = tiny_cfg()
     rng = np.random.default_rng(3)
     params = init_backbone(cfg, rng, dtype=np.float64)
-    img = rng.random((1, 8, 8))
+    img = rng.random((1, 1, 8, 8))
     report = grad_check(
         lambda: tsum(tokenize(img, params, cfg)),
         {"patch_embed": params["patch_embed"], "pos_embed": params["pos_embed"], "cls": params["class_token"]},
@@ -72,7 +72,7 @@ def test_block_zero_residual_is_identity():
     rng = np.random.default_rng(4)
     params = init_backbone(cfg, rng)
     zero_residuals(params, cfg.depth)
-    z = Tensor(rng.standard_normal((5, cfg.dim)).astype(np.float32))
+    z = Tensor(rng.standard_normal((1, 5, cfg.dim)).astype(np.float32))
     out, _ = block_forward(z, params, "block1.", cfg.heads)
     np.testing.assert_allclose(out.data, z.data, atol=1e-6)
 
@@ -91,8 +91,8 @@ def test_block_preserves_shape():
 def test_block_grad_matches_fd():
     rng = np.random.default_rng(6)
     blk = init_block(rng, "b.", dim=6, attn_dim=6, mlp_hidden=8, dtype=np.float64)
-    z = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
-    w = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
+    z = Tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64)
+    w = Tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64)
     report = grad_check(lambda: tsum(block_forward(z, blk, "b.", heads=2)[0] * w), blk)
     assert report.passed, report
 
@@ -100,7 +100,7 @@ def test_block_grad_matches_fd():
 def test_msa_single_token_attention():
     rng = np.random.default_rng(7)
     blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8)
-    z = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
+    z = Tensor(rng.standard_normal((1, 1, 8)).astype(np.float32))
     _, attn = msa_forward(z, z, blk, "b.", heads=2)
     np.testing.assert_allclose(attn.data, 1.0)
 
@@ -109,7 +109,7 @@ def test_msa_identical_keys_uniform_rows():
     rng = np.random.default_rng(8)
     blk = init_block(rng, "b.", dim=8, attn_dim=8, mlp_hidden=8)
     row = rng.standard_normal(8).astype(np.float32)
-    z = Tensor(np.tile(row, (5, 1)))
+    z = Tensor(np.tile(row, (1, 5, 1)))
     _, attn = msa_forward(z, z, blk, "b.", heads=2)
     np.testing.assert_allclose(attn.data, 0.2, atol=1e-6)
 
@@ -134,13 +134,15 @@ def test_msa_query_rows_match_self_attention_rows():
     np.testing.assert_allclose(attn.data, full_attn.data[:, :, [0, 4]], rtol=1e-12, atol=1e-14)
     with pytest.raises(ShapeError):
         msa_forward(narrow(z, 0, 0, 1), z, blk, "b.", heads=2)
+    with pytest.raises(ShapeError):
+        msa_forward(z.select(0, 0), z.select(0, 0), blk, "b.", heads=2)
 
 
 def test_prefix_full_equals_sequential():
     cfg = tiny_cfg(depth=3)
     rng = np.random.default_rng(10)
     params = init_backbone(cfg, rng)
-    img = rng.random((1, 8, 8)).astype(np.float32)
+    img = rng.random((1, 1, 8, 8)).astype(np.float32)
     acts = prefix_forward(params, img, upto_block=3, cfg=cfg)
     z = tokenize(img, params, cfg)
     for l in range(1, cfg.depth + 1):
@@ -152,7 +154,7 @@ def test_prefix_full_equals_sequential():
 def test_prefix_single_block():
     cfg = tiny_cfg(depth=3)
     params = init_backbone(cfg, np.random.default_rng(11))
-    img = np.zeros((1, 8, 8), dtype=np.float32)
+    img = np.zeros((1, 1, 8, 8), dtype=np.float32)
     acts = prefix_forward(params, img, upto_block=1, cfg=cfg)
     assert len(acts) == 2
 
@@ -160,7 +162,7 @@ def test_prefix_single_block():
 def test_prefix_budget_out_of_range():
     cfg = tiny_cfg(depth=2)
     params = init_backbone(cfg, np.random.default_rng(12))
-    img = np.zeros((1, 8, 8), dtype=np.float32)
+    img = np.zeros((1, 1, 8, 8), dtype=np.float32)
     with pytest.raises(BudgetError):
         prefix_forward(params, img, upto_block=3, cfg=cfg)
 
@@ -169,12 +171,12 @@ def test_hook_touches_only_class_row_downstream():
     cfg = tiny_cfg(depth=2)
     rng = np.random.default_rng(13)
     params = init_backbone(cfg, rng)
-    img = rng.random((1, 8, 8)).astype(np.float32)
+    img = rng.random((1, 1, 8, 8)).astype(np.float32)
 
     def zero_cls(l, z):
         if l == 1:
             out = z.data.copy()
-            out[0, :] = 0.0
+            out[0, 0, :] = 0.0
             return Tensor(out)
         return None
 
@@ -188,7 +190,7 @@ def test_prefix_property_for_shorter_budget():
     cfg = tiny_cfg(depth=3)
     rng = np.random.default_rng(14)
     params = init_backbone(cfg, rng)
-    img = rng.random((1, 8, 8)).astype(np.float32)
+    img = rng.random((1, 1, 8, 8)).astype(np.float32)
     short = prefix_forward(params, img, 2, cfg)
     full = prefix_forward(params, img, 3, cfg)
     for a, b in zip(short, full):
@@ -200,7 +202,7 @@ def test_zero_weight_prefix_is_identity_on_tokens():
     rng = np.random.default_rng(15)
     params = init_backbone(cfg, rng)
     zero_residuals(params, cfg.depth)
-    img = rng.random((1, 8, 8)).astype(np.float32)
+    img = rng.random((1, 1, 8, 8)).astype(np.float32)
     acts = prefix_forward(params, img, 2, cfg)
     np.testing.assert_allclose(acts[-1].data, acts[0].data, atol=1e-5)
 

@@ -235,6 +235,16 @@ def test_inspect_malformed_checkpoint_exit_1(tmp_path, corrupt):
     assert_clean_failure(run_cli("inspect-checkpoint", str(bad)), 1, message)
 
 
+@pytest.mark.parametrize("key", ["federation.threads", "train.kd_teacher_grad"])
+def test_removed_keys_are_rejected(tmp_path, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key}=1\n")
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(path), f"--output_dir={out}")
+    assert_clean_failure(proc, 2, f"unknown config key {key!r}")
+    assert not out.exists()
+
+
 def test_run_non_utf8_config_exit_2(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_bytes(b"train.lr0=0.01\ntrain.tau=\xff\n")
@@ -284,7 +294,6 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
     ("train.lr0=-1", "lr0 must be >= 0, got -1.0"),
     ("train.lr_min=-1", "lr_min must be >= 0, got -1.0"),
     ("train.eta_max=-1", "eta_max must be >= 0, got -1.0"),
-    ("federation.threads=-2", "federation.threads must be >= 0, got -2"),
 ])
 def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     out = tmp_path / "out"

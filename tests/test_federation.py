@@ -392,20 +392,6 @@ def test_run_experiment_deterministic():
         assert ra.sampled == rb.sampled
 
 
-def test_parallel_matches_serial_bitwise():
-    serial_cfg = cfg_overrides(**{"federation.threads": 1})
-    parallel_cfg = cfg_overrides(**{"federation.threads": 4})
-    serial_reports, serial_state = run_experiment_with_state(serial_cfg)
-    parallel_reports, parallel_state = run_experiment_with_state(parallel_cfg)
-    for ra, rb in zip(serial_reports, parallel_reports):
-        np.testing.assert_array_equal(ra.exit_accuracy, rb.exit_accuracy)
-        assert ra.train_loss_mean == rb.train_loss_mean
-    for name, tensor in serial_state.model.params.items():
-        np.testing.assert_array_equal(
-            tensor.data, parallel_state.model.params[name].data, err_msg=name
-        )
-
-
 def test_frozen_round_transfers_only_shared_stack():
     cfg = cfg_overrides(**{"train.mode": "frozen"})
     state = build_server(cfg)
@@ -419,20 +405,6 @@ def test_frozen_round_transfers_only_shared_stack():
     assert report.bytes_up == frozen_cost * len(report.sampled)
     for name, data in backbone_before.items():
         np.testing.assert_array_equal(state.model.params[name].data, data, err_msg=name)
-
-
-def test_threads_resolution(monkeypatch):
-    from reefl.federation import resolve_threads
-
-    monkeypatch.delenv("REEFL_THREADS", raising=False)
-    assert resolve_threads(0) == 1
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("REEFL_THREADS", "4")
-    assert resolve_threads(0) == 4
-    assert resolve_threads(2) == 2  # explicit config wins
-    monkeypatch.setenv("REEFL_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        resolve_threads(0)
 
 
 def test_estimates_persist_across_rounds():
