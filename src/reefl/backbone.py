@@ -6,7 +6,8 @@ residual). A client with budget r runs only blocks 1..r.
 
 Parameters live in one flat ``name -> Tensor`` dict: ``patch_embed``,
 ``pos_embed``, ``class_token`` and ``block{l}.{field}``; forward functions
-read a block's tensors under its name prefix.
+read a block's tensors under its name prefix. ``ModelConfig`` describes
+the whole model's shape, exit blocks included.
 """
 from __future__ import annotations
 
@@ -33,8 +34,16 @@ INIT_STD = 0.02
 MLP_RATIO = 4
 
 
-@dataclass
-class BackboneConfig:
+@dataclass(kw_only=True)
+class ModelConfig:
+    """The model's whole shape: the backbone plus where the exits sit.
+
+    ``exit_blocks`` are the backbone blocks that carry an exit; the shared
+    exit block runs after every block, or after exit blocks only when
+    ``ree_everywhere`` is false. Field order is the checkpoint header's
+    key order.
+    """
+
     depth: int
     dim: int
     heads: int
@@ -42,6 +51,8 @@ class BackboneConfig:
     num_classes: int
     image_size: int = 16
     image_channels: int = 1
+    exit_blocks: tuple
+    ree_everywhere: bool = True
 
     def __post_init__(self):
         for key in ("depth", "dim", "heads", "patch_size", "image_channels"):
@@ -55,6 +66,28 @@ class BackboneConfig:
             )
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
+        blocks = self.exit_blocks = tuple(int(b) for b in self.exit_blocks)
+        if not blocks:
+            raise ConfigError("schedule needs at least one exit")
+        if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
+            raise ConfigError(f"exit blocks must be strictly increasing: {blocks}")
+        if blocks[0] < 1 or blocks[-1] != self.depth:
+            raise ConfigError(
+                f"exit blocks {blocks} must lie in [1, {self.depth}] and end at the final block"
+            )
+
+    @property
+    def num_exits(self) -> int:
+        return len(self.exit_blocks)
+
+    @property
+    def pos_rows(self) -> int:
+        """Queue slots: one per backbone block plus the meta slot, or one per
+        exit plus the meta slot when the shared block runs at exits only."""
+        return (self.depth if self.ree_everywhere else self.num_exits) + 1
+
+    def exits_within(self, budget: int) -> int:
+        return sum(1 for b in self.exit_blocks if b <= budget)
 
     @property
     def num_patches(self) -> int:
@@ -107,7 +140,7 @@ def covering_budget(name: str) -> int:
     return int(group[len("block"):]) if group.startswith("block") else 1
 
 
-def init_backbone(cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+def init_backbone(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
     d = cfg.dim
     params = {
         "patch_embed": Tensor(trunc_normal(rng, (cfg.patch_dim, d), dtype=dtype), requires_grad=True),
@@ -133,7 +166,7 @@ def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(b, hp * wp, c * patch_size * patch_size))
 
 
-def tokenize(images, params: dict, cfg: BackboneConfig) -> Tensor:
+def tokenize(images, params: dict, cfg: ModelConfig) -> Tensor:
     """Project patches, prepend the class token, add positional embeddings.
 
     A batch [B,C,H,W] becomes tokens [B,(n+1),d].
@@ -203,7 +236,7 @@ def prefix_forward(
     params: dict,
     images,
     upto_block: int,
-    cfg: BackboneConfig,
+    cfg: ModelConfig,
     hook: Hook | None = None,
 ) -> list[Tensor]:
     """Run tokenize then blocks 1..upto_block.

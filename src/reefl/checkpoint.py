@@ -5,45 +5,42 @@ Layout (all integers little-endian):
     then per tensor: name length u32 | name utf-8 | rank u32 | dims u32*rank
     | values float32
 
-The config blob is the resolved ``key=value`` text needed to rebuild the
-model (depth, dims, schedule, ...). The tensors are the model's flat
-parameter dict, sorted by name so the file is byte-reproducible. Loading
-checks the tensor names and shapes against the layout the config blob
-implies: a missing, unknown or misshapen tensor is a ``FormatError``.
+The config blob holds one ``key=value`` line per ``ModelConfig`` field, in
+field order: a tuple is written comma-joined and a bool as 0 or 1. The
+tensors are the model's flat parameter dict, sorted by name so the file is
+byte-reproducible. Loading checks the tensor names and shapes against the
+layout the config blob implies: a missing, unknown or misshapen tensor is a
+``FormatError``.
 """
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .backbone import BackboneConfig
+from .backbone import ModelConfig
 from .errors import ConfigError, FormatError
 from .federation import Model, init_global_model
 from .numerics import Tensor
-from .ree import ExitSchedule
 
 CHECKPOINT_MAGIC = b"REEFLCK1"
 CHECKPOINT_VERSION = 1
 _U32 = struct.Struct("<I")
 
+_FIELD_TYPES = get_type_hints(ModelConfig)
+_ENCODE = {tuple: lambda v: ",".join(str(b) for b in v), bool: lambda v: str(int(v)), int: str}
+_DECODE = {tuple: lambda s: tuple(int(b) for b in s.split(",")), bool: lambda s: bool(int(s)), int: int}
+
 
 def _model_config_blob(model: Model) -> str:
-    cfg, sched = model.config, model.schedule
-    fields = {
-        "depth": cfg.depth,
-        "dim": cfg.dim,
-        "heads": cfg.heads,
-        "patch_size": cfg.patch_size,
-        "num_classes": cfg.num_classes,
-        "image_size": cfg.image_size,
-        "image_channels": cfg.image_channels,
-        "exit_blocks": ",".join(str(b) for b in sched.exit_blocks),
-        "ree_everywhere": int(sched.ree_everywhere),
-    }
-    return "\n".join(f"{k}={v}" for k, v in fields.items())
+    return "\n".join(
+        f"{f.name}={_ENCODE[_FIELD_TYPES[f.name]](getattr(model.config, f.name))}"
+        for f in fields(ModelConfig)
+    )
 
 
 def _decode(raw: bytes, offset: int, what: str) -> str:
@@ -54,35 +51,23 @@ def _decode(raw: bytes, offset: int, what: str) -> str:
         raise FormatError(f"{what} is not UTF-8 at offset {offset + exc.start}") from exc
 
 
-def _parse_config_blob(raw: bytes, offset: int) -> tuple[BackboneConfig, ExitSchedule]:
+def _parse_config_blob(raw: bytes, offset: int) -> ModelConfig:
     """Parse the config blob, which starts at byte ``offset`` of the file."""
-    fields = {}
+    values = {}
     pos = offset
     for line in raw.split(b"\n"):
         if line:
             key, sep, value = _decode(line, pos, "config blob").partition("=")
             if not sep:
                 raise FormatError(f"config blob line without '=' at offset {pos}: {line!r}")
-            fields[key] = value
+            values[key] = value
         pos += len(line) + 1
     try:
-        cfg = BackboneConfig(
-            depth=int(fields["depth"]),
-            dim=int(fields["dim"]),
-            heads=int(fields["heads"]),
-            patch_size=int(fields["patch_size"]),
-            num_classes=int(fields["num_classes"]),
-            image_size=int(fields["image_size"]),
-            image_channels=int(fields["image_channels"]),
-        )
-        schedule = ExitSchedule(
-            tuple(int(b) for b in fields["exit_blocks"].split(",")),
-            cfg.depth,
-            bool(int(fields["ree_everywhere"])),
+        return ModelConfig(
+            **{f.name: _DECODE[_FIELD_TYPES[f.name]](values[f.name]) for f in fields(ModelConfig)}
         )
     except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint config blob at offset {offset}: {exc}") from exc
-    return cfg, schedule
 
 
 def save_checkpoint(path, model: Model) -> None:
@@ -104,8 +89,8 @@ def save_checkpoint(path, model: Model) -> None:
             f.write(data.tobytes())
 
 
-def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
-    """Read (name -> float32 array, backbone config, schedule)."""
+def load_named_tensors(path) -> tuple[dict, ModelConfig]:
+    """Read (name -> float32 array, model config)."""
     blob = Path(path).read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic at offset 0: {blob[:8]!r}")
@@ -125,7 +110,7 @@ def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
     blob_len = read_u32()
     if len(blob) < offset + blob_len:
         raise FormatError(f"truncated config blob at offset {offset}")
-    cfg, schedule = _parse_config_blob(blob[offset : offset + blob_len], offset)
+    cfg = _parse_config_blob(blob[offset : offset + blob_len], offset)
     offset += blob_len
 
     tensors: dict[str, np.ndarray] = {}
@@ -145,13 +130,13 @@ def load_named_tensors(path) -> tuple[dict, BackboneConfig, ExitSchedule]:
             )
         tensors[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims).copy()
         offset += nbytes
-    return tensors, cfg, schedule
+    return tensors, cfg
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild the global model, checking every tensor against the config's layout."""
-    tensors, cfg, schedule = load_named_tensors(path)
-    layout = init_global_model(cfg, schedule, np.random.default_rng(0)).params  # names and shapes only
+    tensors, cfg = load_named_tensors(path)
+    layout = init_global_model(cfg, np.random.default_rng(0)).params  # names and shapes only
     unknown = sorted(set(tensors) - set(layout))
     if unknown:
         raise FormatError(f"checkpoint holds unknown tensor {unknown[0]!r}")
@@ -163,17 +148,17 @@ def load_checkpoint(path) -> Model:
         if found.shape != expected.shape:
             raise FormatError(f"tensor {name!r} has shape {found.shape}, expected {expected.shape}")
         params[name] = Tensor(found, requires_grad=True)
-    return Model(params, cfg, schedule, cfg.depth)
+    return Model(params, cfg, cfg.depth)
 
 
 def describe_checkpoint(path) -> str:
     """Human-readable header + tensor listing for the inspect command."""
-    tensors, cfg, schedule = load_named_tensors(path)
+    tensors, cfg = load_named_tensors(path)
     lines = [
         f"backbone: depth={cfg.depth} dim={cfg.dim} heads={cfg.heads} "
         f"patch={cfg.patch_size} classes={cfg.num_classes} "
         f"image={cfg.image_channels}x{cfg.image_size}x{cfg.image_size}",
-        f"schedule: exits={list(schedule.exit_blocks)} ree_everywhere={schedule.ree_everywhere}",
+        f"schedule: exits={list(cfg.exit_blocks)} ree_everywhere={cfg.ree_everywhere}",
         f"tensors: {len(tensors)} ({sum(t.size for t in tensors.values())} parameters)",
     ]
     for name in sorted(tensors):

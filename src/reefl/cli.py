@@ -49,7 +49,7 @@ def cmd_run(config_path, overrides) -> int:
     except ReeflError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_metrics_csv(out_dir / "metrics.csv", reports, state.model.schedule.num_exits)
+    write_metrics_csv(out_dir / "metrics.csv", reports, state.model.config.num_exits)
     save_checkpoint(out_dir / "checkpoint.ckpt", state.model)
     evaluated = [r for r in reports if r.exit_accuracy is not None]
     if evaluated:
@@ -68,7 +68,7 @@ def cmd_attention(checkpoint_path, dataset_path, sample_ids, output) -> int:
         if not 0 <= sid < len(examples):
             raise InputError(f"sample id {sid} outside dataset of {len(examples)} examples")
         image = examples[sid].image[None]
-        trace = forward_with_exits(model, image, model.schedule, modulation=True)
+        trace = forward_with_exits(model, image, modulation=True)
         for block in range(1, model.config.depth + 1):
             maps = attention_maps(trace, block, model)
             for variant, arr in (("x", maps.query_x), ("m", maps.query_m), ("c", maps.query_c)):

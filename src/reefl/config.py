@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backbone import BackboneConfig
+from .backbone import ModelConfig
 from .errors import ConfigError
-from .ree import ExitSchedule
 from .training import TrainConfig
 
 
@@ -91,23 +90,23 @@ class ExperimentConfig:
 
     # -- derived build objects -------------------------------------------
 
-    def backbone_config(self) -> BackboneConfig:
-        return BackboneConfig(
-            depth=self["model.depth"],
+    def model_config(self) -> ModelConfig:
+        depth, blocks = self["model.depth"], self["schedule.exit_blocks"]
+        if not blocks:
+            k = self["schedule.every_k"]
+            if k < 1 or depth % k != 0:
+                raise ConfigError(f"depth {depth} is not a multiple of exit stride {k}")
+            blocks = tuple(range(k, depth + 1, k))
+        return ModelConfig(
+            depth=depth,
             dim=self["model.dim"],
             heads=self["model.heads"],
             patch_size=self["model.patch_size"],
             num_classes=self["model.num_classes"],
             image_size=self["data.image_size"],
             image_channels=self["data.channels"],
-        )
-
-    def schedule(self) -> ExitSchedule:
-        blocks = self["schedule.exit_blocks"]
-        if blocks:
-            return ExitSchedule(blocks, self["model.depth"], self["schedule.ree_everywhere"])
-        return ExitSchedule.every_k(
-            self["schedule.every_k"], self["model.depth"], self["schedule.ree_everywhere"]
+            exit_blocks=blocks,
+            ree_everywhere=self["schedule.ree_everywhere"],
         )
 
     def train_config(self) -> TrainConfig:
@@ -128,8 +127,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         try:
-            backbone = self.backbone_config()
-            schedule = self.schedule()
+            model = self.model_config()
             self.train_config()
         except ConfigError:
             raise
@@ -151,16 +149,16 @@ class ExperimentConfig:
             raise ConfigError("federation.sample_fraction must be in (0, 1]")
         if self["federation.eval_interval"] < 1:
             raise ConfigError("federation.eval_interval must be >= 1")
-        if self["federation.num_clients"] < schedule.num_exits:
+        if self["federation.num_clients"] < model.num_exits:
             raise ConfigError(
                 f"federation.num_clients={self['federation.num_clients']} is fewer than "
-                f"{schedule.num_exits} exits"
+                f"{model.num_exits} exits"
             )
         if not 0 < self["data.split_ratio"] < 1:
             raise ConfigError("data.split_ratio must be in (0, 1)")
         if self["data.alpha"] <= 0:
             raise ConfigError("data.alpha must be positive")
-        if backbone.image_size < backbone.patch_size:
+        if model.image_size < model.patch_size:
             raise ConfigError("image smaller than one patch")
 
     def resolved_text(self) -> str:

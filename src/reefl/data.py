@@ -185,18 +185,6 @@ def load_dataset(path) -> list[Example]:
     return examples
 
 
-def dataset_meta(path) -> dict:
-    """Header fields without reading the records."""
-    with open(path, "rb") as f:
-        if f.read(len(DATASET_MAGIC)) != DATASET_MAGIC:
-            raise FormatError("bad magic at offset 0")
-        fields = f.read(_HEADER.size)
-        if len(fields) < _HEADER.size:
-            raise FormatError(f"truncated header at offset {len(DATASET_MAGIC)}")
-        num_classes, c, h, w, n = _HEADER.unpack(fields)
-    return {"num_classes": num_classes, "channels": c, "height": h, "width": w, "count": n}
-
-
 def write_partition_manifest(path, assignment: list[list[int]]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backbone import BackboneConfig, covering_budget, init_backbone
+from .backbone import ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
 from .data import (
     Example,
@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import AggregationError, BudgetError, ConfigError
 from .numerics import Tensor, no_grad
-from .ree import ExitSchedule, forward_with_exits, init_classifier, init_ree
+from .ree import forward_with_exits, init_classifier, init_ree
 from .training import (
     MODE_FROZEN,
     MODE_FULL,
@@ -59,8 +59,7 @@ class Model:
     """
 
     params: dict
-    config: BackboneConfig
-    schedule: ExitSchedule
+    config: ModelConfig
     budget: int
 
 
@@ -88,29 +87,25 @@ class RoundReport:
     lr: float
 
 
-def init_global_model(
-    config: BackboneConfig, schedule: ExitSchedule, rng: np.random.Generator, dtype=np.float32
-) -> Model:
+def init_global_model(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> Model:
     """Draw the backbone, then the shared exit block, then the classifier."""
-    if schedule.depth != config.depth:
-        raise ConfigError(f"schedule depth {schedule.depth} != backbone depth {config.depth}")
     params = init_backbone(config, rng, dtype=dtype)
-    params.update(init_ree(config.dim, schedule.pos_rows, rng, dtype=dtype))
+    params.update(init_ree(config.dim, config.pos_rows, rng, dtype=dtype))
     params.update(init_classifier(config.dim, config.num_classes, rng, dtype=dtype))
-    return Model(params, config, schedule, config.depth)
+    return Model(params, config, config.depth)
 
 
 # -- budgets and sampling ------------------------------------------------------
 
 
-def assign_budgets(num_clients: int, schedule: ExitSchedule) -> list[int]:
-    """Equal-sized budget groups, remainder going to the deepest budgets."""
-    exits = schedule.num_exits
+def assign_budgets(num_clients: int, exit_blocks: tuple) -> list[int]:
+    """Equal-sized budget groups, one per exit block, remainder going to the deepest budgets."""
+    exits = len(exit_blocks)
     if num_clients < exits:
         raise ConfigError(f"{num_clients} clients cannot cover {exits} budget tiers")
     base, rem = divmod(num_clients, exits)
     budgets = []
-    for e, block in enumerate(schedule.exit_blocks):
+    for e, block in enumerate(exit_blocks):
         size = base + (1 if e >= exits - rem else 0)
         budgets.extend([block] * size)
     return budgets
@@ -132,19 +127,17 @@ def sample_clients(pool: list, fraction: float, rng: np.random.Generator) -> lis
 
 def slice_submodel(model: Model, budget: int) -> Model:
     """Private copies of the names ``budget`` covers: blocks 1..budget plus all shared components."""
-    depth = model.config.depth
+    depth, first_exit = model.config.depth, model.config.exit_blocks[0]
     if not 1 <= budget <= depth:
         raise BudgetError(f"budget {budget} outside [1, {depth}]")
-    if budget < model.schedule.exit_blocks[0]:
-        raise BudgetError(
-            f"budget {budget} does not cover the first exit at block {model.schedule.exit_blocks[0]}"
-        )
+    if budget < first_exit:
+        raise BudgetError(f"budget {budget} does not cover the first exit at block {first_exit}")
     params = {
         name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
         for name, t in model.params.items()
         if covering_budget(name) <= budget
     }
-    return Model(params, model.config, model.schedule, budget)
+    return Model(params, model.config, budget)
 
 
 def aggregate(model: Model, updates: list) -> Model:
@@ -211,14 +204,14 @@ def evaluate(
     """Top-1 accuracy of every exit over the full test set, full depth."""
     if not test_set:
         raise ConfigError("empty test set")
-    exits = model.schedule.num_exits
+    exits = model.config.num_exits
     correct = np.zeros(exits, dtype=np.int64)
     with no_grad():
         for start in range(0, len(test_set), batch_size):
             chunk = test_set[start : start + batch_size]
             images = np.stack([ex.image for ex in chunk])
             labels = np.array([ex.label for ex in chunk])
-            trace = forward_with_exits(model, images, model.schedule, modulation)
+            trace = forward_with_exits(model, images, modulation)
             for e, logits in enumerate(trace.exit_logits):
                 correct[e] += int((np.argmax(logits.data, axis=1) == labels).sum())
     return correct / len(test_set)
@@ -234,7 +227,6 @@ class ServerState:
     clients: list
     test_set: list
     train_cfg: TrainConfig
-    seed: int = 0
 
 
 def build_server(cfg: ExperimentConfig) -> ServerState:
@@ -263,8 +255,8 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
     spec = PartitionSpec(cfg["federation.num_clients"], cfg["data.alpha"], seed=partition_seed)
     assignment = lda_partition(labels, spec)
 
-    schedule = cfg.schedule()
-    budgets = assign_budgets(cfg["federation.num_clients"], schedule)
+    config = cfg.model_config()
+    budgets = assign_budgets(cfg["federation.num_clients"], config.exit_blocks)
     clients = []
     test_set: list[Example] = []
     for cid, indices in enumerate(assignment):
@@ -273,47 +265,30 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
         clients.append(ClientState(id=cid, budget=budgets[cid], train=train, test=test))
         test_set.extend(test)
 
-    model = init_global_model(cfg.backbone_config(), schedule, rng_for(seed, _D_MODEL))
-    return ServerState(
-        cfg=cfg,
-        model=model,
-        clients=clients,
-        test_set=test_set,
-        train_cfg=cfg.train_config(),
-        seed=seed,
-    )
+    model = init_global_model(config, rng_for(seed, _D_MODEL))
+    return ServerState(cfg=cfg, model=model, clients=clients, test_set=test_set, train_cfg=cfg.train_config())
 
 
 def run_round(state: ServerState, round_t: int) -> RoundReport:
-    cfg = state.cfg
-    depth = state.model.config.depth
+    cfg, train_cfg = state.cfg, state.train_cfg
+    seed, depth = cfg["seed"], state.model.config.depth
     pool = [c.id for c in state.clients]
     if cfg["federation.exclude_underbudget"]:
         pool = [cid for cid in pool if state.clients[cid].budget == depth]
         if not pool:
             raise ConfigError("exclude_underbudget left no eligible clients")
-    sampled = sample_clients(pool, cfg["federation.sample_fraction"], rng_for(state.seed, _D_SAMPLE, round_t))
+    sampled = sample_clients(pool, cfg["federation.sample_fraction"], rng_for(seed, _D_SAMPLE, round_t))
 
     modulation = cfg["schedule.modulation_enabled"]
-
-    def train_one(cid: int):
+    updates = []
+    bytes_moved = 0
+    for cid in sampled:
         client = state.clients[cid]
         view = slice_submodel(state.model, client.budget)
-        params, n = local_train(
-            client,
-            view,
-            state.train_cfg,
-            round_t,
-            rng_for(state.seed, _D_TRAIN, round_t, cid),
-            state.model.schedule,
-            modulation=modulation,
-        )
-        return params, n * state.train_cfg.local_epochs, client.budget, comm_cost(view, state.train_cfg.mode)
-
-    results = [train_one(cid) for cid in sampled]
-
-    updates = [(params, weight, budget) for params, weight, budget, _ in results]
-    per_client_bytes = [cost for _, _, _, cost in results]
+        rng = rng_for(seed, _D_TRAIN, round_t, cid)
+        params, n = local_train(client, view, train_cfg, round_t, rng, modulation=modulation)
+        updates.append((params, n * train_cfg.local_epochs, client.budget))
+        bytes_moved += comm_cost(view, train_cfg.mode)
     aggregate(state.model, updates)
 
     accuracy = None
@@ -330,10 +305,10 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
         mean_accuracy=mean_acc,
         client_losses=client_losses,
         train_loss_mean=float(np.mean(list(client_losses.values()))),
-        bytes_up=sum(per_client_bytes),
-        bytes_down=sum(per_client_bytes),
-        eta=eta_schedule(round_t, state.train_cfg),
-        lr=cosine_lr(round_t, state.train_cfg),
+        bytes_up=bytes_moved,
+        bytes_down=bytes_moved,
+        eta=eta_schedule(round_t, train_cfg),
+        lr=cosine_lr(round_t, train_cfg),
     )
 
 

@@ -13,7 +13,6 @@ from .tensor import Tensor, _from_op
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_C = 0.044715
-PROB_FLOOR = 1e-12  # probabilities are floored at this inside logs
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -136,26 +135,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             logits._accumulate(g * p / batch)
 
     return _from_op(data, (logits,), backward)
-
-
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """sum p * log(p / q) with the 0*log(0) := 0 convention.
-
-    Probabilities are floored at PROB_FLOOR inside the logs, which keeps the
-    value finite when q has (near-)zeros.
-    """
-    if p.shape != q.shape:
-        raise ShapeError(f"kl_divergence shape mismatch: {p.shape} vs {q.shape}")
-    pc = np.maximum(p.data, PROB_FLOOR)
-    qc = np.maximum(q.data, PROB_FLOOR)
-    logratio = np.log(pc) - np.log(qc)
-    terms = np.where(p.data > 0, p.data * logratio, 0.0)
-    data = np.asarray(terms.sum(), dtype=p.dtype)
-
-    def backward(g):
-        if p.requires_grad:
-            p._accumulate(g * np.where(p.data > 0, logratio + 1.0, 0.0))
-        if q.requires_grad:
-            q._accumulate(g * np.where(p.data > 0, -p.data / qc, 0.0))
-
-    return _from_op(data, (p, q), backward)

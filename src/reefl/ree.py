@@ -31,7 +31,7 @@ from .backbone import (
     prefix_forward,
     trunc_normal,
 )
-from .errors import BudgetError, ConfigError, InputError, ScheduleError, ShapeError
+from .errors import BudgetError, InputError, ScheduleError, ShapeError
 from .numerics import (
     Tensor,
     broadcast_to,
@@ -51,46 +51,6 @@ REE_MLP_RATIO = 1.35
 
 def ree_mlp_hidden(dim: int) -> int:
     return math.ceil(REE_MLP_RATIO * dim)
-
-
-@dataclass
-class ExitSchedule:
-    """Which backbone blocks carry exits, and where the shared block runs."""
-
-    exit_blocks: tuple
-    depth: int
-    ree_everywhere: bool = True
-
-    def __post_init__(self):
-        blocks = tuple(int(b) for b in self.exit_blocks)
-        object.__setattr__(self, "exit_blocks", blocks)
-        if not blocks:
-            raise ConfigError("schedule needs at least one exit")
-        if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
-            raise ConfigError(f"exit blocks must be strictly increasing: {blocks}")
-        if blocks[0] < 1 or blocks[-1] != self.depth:
-            raise ConfigError(
-                f"exit blocks {blocks} must lie in [1, {self.depth}] and end at the final block"
-            )
-
-    @classmethod
-    def every_k(cls, k: int, depth: int, ree_everywhere: bool = True) -> "ExitSchedule":
-        if k < 1 or depth % k != 0:
-            raise ConfigError(f"depth {depth} is not a multiple of exit stride {k}")
-        return cls(tuple(range(k, depth + 1, k)), depth, ree_everywhere)
-
-    @property
-    def num_exits(self) -> int:
-        return len(self.exit_blocks)
-
-    @property
-    def pos_rows(self) -> int:
-        """Queue slots: one per backbone block plus the meta slot, or one per
-        exit plus the meta slot when the shared block runs at exits only."""
-        return (self.depth if self.ree_everywhere else self.num_exits) + 1
-
-    def exits_within(self, budget: int) -> int:
-        return sum(1 for b in self.exit_blocks if b <= budget)
 
 
 def is_shared(name: str) -> bool:
@@ -182,8 +142,8 @@ class ForwardTrace:
     modulated: dict = field(default_factory=dict)  # block -> (m_0, m_last)
 
 
-def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulation: bool = True) -> ForwardTrace:
-    """Run blocks 1..budget, applying the shared exit block per the schedule.
+def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> ForwardTrace:
+    """Run blocks 1..budget, applying the shared exit block where the config says.
 
     At each block where the shared block runs, the class token joins the
     queue; at exit blocks logits are recorded from the original class token
@@ -195,12 +155,12 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
         raise InputError(f"expected a [B,C,H,W] batch, got shape {images.shape}")
     if images.shape[0] == 0:
         raise InputError("empty batch")
-    budget = view.budget
-    if budget < schedule.exit_blocks[0]:
-        raise BudgetError(f"budget {budget} does not cover the first exit at block {schedule.exit_blocks[0]}")
-    exit_set = frozenset(schedule.exit_blocks)
+    budget, config = view.budget, view.config
+    if budget < config.exit_blocks[0]:
+        raise BudgetError(f"budget {budget} does not cover the first exit at block {config.exit_blocks[0]}")
+    exit_set = frozenset(config.exit_blocks)
     b = images.shape[0]
-    d = view.config.dim
+    d = config.dim
 
     params = view.params
     trace = ForwardTrace()
@@ -208,7 +168,7 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
     trace.queue.append(meta)
 
     def hook(l: int, z: Tensor) -> Optional[Tensor]:
-        if not (schedule.ree_everywhere or l in exit_set):
+        if not (config.ree_everywhere or l in exit_set):
             return None
         zcls = z.select(1, 0)
         trace.queue.append(zcls)
@@ -221,7 +181,7 @@ def forward_with_exits(view, images: np.ndarray, schedule: ExitSchedule, modulat
             return modulate(z, m_last)
         return None
 
-    trace.activations = prefix_forward(params, images, budget, view.config, hook)
+    trace.activations = prefix_forward(params, images, budget, config, hook)
     return trace
 
 

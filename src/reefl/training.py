@@ -22,7 +22,7 @@ from .errors import (
     TraceError,
 )
 from .numerics import Tensor, cross_entropy, log_softmax, softmax, tsum
-from .ree import ExitSchedule, ForwardTrace, forward_with_exits, is_shared
+from .ree import ForwardTrace, forward_with_exits, is_shared
 
 MODE_FULL = "full"
 MODE_FROZEN = "frozen"
@@ -170,7 +170,6 @@ def local_train(
     cfg: TrainConfig,
     round_t: int,
     rng: np.random.Generator,
-    schedule: ExitSchedule,
     modulation: bool = True,
 ):
     """One client's local pass(es); returns (updated named tensors, sample count).
@@ -189,7 +188,7 @@ def local_train(
         tensor.requires_grad = name in trainable
 
     n = len(client.train)
-    expected_exits = schedule.exits_within(view.budget)
+    expected_exits = view.config.exits_within(view.budget)
     batch_losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
@@ -198,7 +197,7 @@ def local_train(
             images = np.stack([client.train[i].image for i in idx])
             labels = np.array([client.train[i].label for i in idx])
             try:
-                trace = forward_with_exits(view, images, schedule, modulation)
+                trace = forward_with_exits(view, images, modulation)
                 ces = exit_ce_losses(trace, labels, expected=expected_exits)
                 client.estimate = update_running_estimate(
                     client.estimate, [c.item() for c in ces], cfg.zeta

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from reefl.backbone import BackboneConfig
+from reefl.backbone import ModelConfig
 from reefl.federation import Model, init_global_model
-from reefl.ree import ExitSchedule
 
 
 def make_view(
@@ -19,18 +18,14 @@ def make_view(
     seed=0,
     dtype=np.float32,
 ):
-    cfg = BackboneConfig(
+    cfg = ModelConfig(
         depth=depth, dim=dim, heads=heads, patch_size=patch,
         num_classes=classes, image_size=image, image_channels=1,
+        exit_blocks=tuple(exit_blocks) if exit_blocks else tuple(range(1, depth + 1)),
+        ree_everywhere=ree_everywhere,
     )
-    schedule = ExitSchedule(
-        tuple(exit_blocks) if exit_blocks else tuple(range(1, depth + 1)),
-        depth,
-        ree_everywhere,
-    )
-    model = init_global_model(cfg, schedule, np.random.default_rng(seed), dtype=dtype)
-    view = Model(model.params, cfg, schedule, budget if budget is not None else depth)
-    return view, schedule
+    model = init_global_model(cfg, np.random.default_rng(seed), dtype=dtype)
+    return Model(model.params, cfg, budget if budget is not None else depth)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 
 import reefl
 from conftest import make_view
-from reefl.backbone import BackboneConfig
+from reefl.backbone import ModelConfig
 from reefl.config import parse_config
 from reefl.data import PartitionSpec, label_entropy, lda_partition
 from reefl.federation import (
@@ -30,7 +30,7 @@ from reefl.federation import (
     slice_submodel,
 )
 from reefl.numerics import Tensor, grad_check
-from reefl.ree import ExitSchedule, forward_with_exits
+from reefl.ree import forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
     MODE_FULL,
@@ -121,7 +121,7 @@ def criterion7_results():
 
 def test_criterion_1_gradient_integrity():
     start = time.time()
-    view, schedule = make_view(
+    view = make_view(
         depth=2, dim=16, heads=4, image=8, patch=4, classes=4,
         exit_blocks=(1, 2), seed=41, dtype=np.float64,
     )
@@ -136,7 +136,7 @@ def test_criterion_1_gradient_integrity():
     # with teacher gradients enabled here; the stop-gradient variant is covered
     # by the exact-zero teacher-gradient unit test.
     def loss():
-        trace = forward_with_exits(view, images, schedule)
+        trace = forward_with_exits(view, images)
         ces = exit_ce_losses(trace, labels, expected=2)
         total = ces[0] + ces[1]
         kd, degenerate = kd_loss(trace, teacher=0, tau=2.0, detach_teacher=False)
@@ -208,9 +208,9 @@ def test_criterion_3_aggregation_oracle():
         depth = int(rng.choice([4, 8, 12]))
         k = int(rng.integers(1, min(4, depth) + 1))
         blocks = sorted(rng.choice(range(1, depth), size=k - 1, replace=False).tolist() + [depth]) if k > 1 else [depth]
-        cfg = BackboneConfig(depth=depth, dim=8, heads=2, patch_size=4,
-                             num_classes=4, image_size=8, image_channels=1)
-        model = init_global_model(cfg, ExitSchedule(tuple(blocks), depth), np.random.default_rng(trial))
+        cfg = ModelConfig(depth=depth, dim=8, heads=2, patch_size=4, num_classes=4,
+                          image_size=8, image_channels=1, exit_blocks=tuple(blocks))
+        model = init_global_model(cfg, np.random.default_rng(trial))
         updates = []
         for _ in range(int(rng.integers(1, 6))):
             budget = int(rng.choice(blocks))
@@ -235,9 +235,9 @@ def test_criterion_3_aggregation_oracle():
             worst = max(worst, float(np.abs(tensor.data - want[name]).max()))
 
     # identical-inputs fixed point, exact
-    cfg = BackboneConfig(depth=4, dim=8, heads=2, patch_size=4,
-                         num_classes=4, image_size=8, image_channels=1)
-    model = init_global_model(cfg, ExitSchedule((2, 4), 4), np.random.default_rng(123))
+    cfg = ModelConfig(depth=4, dim=8, heads=2, patch_size=4, num_classes=4,
+                      image_size=8, image_channels=1, exit_blocks=(2, 4))
+    model = init_global_model(cfg, np.random.default_rng(123))
     before = {n: t.data.copy() for n, t in model.params.items()}
     views = [all_named_tensors(slice_submodel(model, 4)) for _ in range(3)]
     aggregate(model, [(v, w, 4) for v, w in zip(views, (1, 7, 29))])
@@ -293,7 +293,7 @@ def test_criterion_4_centralized_equivalence():
             idx = order[start : start + tcfg.batch_size]
             images = np.stack([train_set[i].image for i in idx])
             labels = np.array([train_set[i].label for i in idx])
-            trace = forward_with_exits(view, images, model.schedule)
+            trace = forward_with_exits(view, images)
             loss = exit_ce_losses(trace, labels)[0]
             loss.backward()
             sgd_step(named_view.values(), cosine_lr(t, tcfg), tcfg.clip)
@@ -400,16 +400,16 @@ def test_criterion_7c_kd_effect(criterion7_results):
 
 def test_criterion_8_communication_invariance():
     def model_for(exits):
-        cfg = BackboneConfig(depth=12, dim=32, heads=4, patch_size=4,
-                             num_classes=4, image_size=16, image_channels=1)
-        return init_global_model(cfg, ExitSchedule(exits, 12), np.random.default_rng(0))
+        cfg = ModelConfig(depth=12, dim=32, heads=4, patch_size=4, num_classes=4,
+                          image_size=16, image_channels=1, exit_blocks=exits)
+        return init_global_model(cfg, np.random.default_rng(0))
 
     m4 = model_for((3, 6, 9, 12))
     m12 = model_for(tuple(range(1, 13)))
     frozen_costs = {
         comm_cost(slice_submodel(m, b), MODE_FROZEN)
         for m in (m4, m12)
-        for b in m.schedule.exit_blocks
+        for b in m.config.exit_blocks
     }
     full_costs = [comm_cost(slice_submodel(m4, b), MODE_FULL) for b in (3, 6, 9, 12)]
     increasing = all(b > a for a, b in zip(full_costs, full_costs[1:]))
@@ -507,10 +507,10 @@ def test_criterion_10_partition_statistics():
 def test_criterion_11_exit_only_equivalence():
     rng = np.random.default_rng(47)
     images = rng.random((3, 1, 8, 8)).astype(np.float32)
-    everywhere_view, everywhere_sched = make_view(depth=4, dim=8, ree_everywhere=True, seed=48)
-    exit_only_view, exit_only_sched = make_view(depth=4, dim=8, ree_everywhere=False, seed=48)
-    ta = forward_with_exits(everywhere_view, images, everywhere_sched)
-    tb = forward_with_exits(exit_only_view, images, exit_only_sched)
+    everywhere_view = make_view(depth=4, dim=8, ree_everywhere=True, seed=48)
+    exit_only_view = make_view(depth=4, dim=8, ree_everywhere=False, seed=48)
+    ta = forward_with_exits(everywhere_view, images)
+    tb = forward_with_exits(exit_only_view, images)
     logits_equal = all(
         np.array_equal(a.data, b.data) for a, b in zip(ta.exit_logits, tb.exit_logits)
     )

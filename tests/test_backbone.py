@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reefl.backbone import (
-    BackboneConfig,
+    ModelConfig,
     block_forward,
     block_prefix,
     init_backbone,
@@ -16,9 +16,9 @@ from reefl.numerics import Tensor, concat, cross_entropy, grad_check, narrow, ts
 
 
 def tiny_cfg(depth=2, dim=8, heads=2, image=8, patch=4):
-    return BackboneConfig(
+    return ModelConfig(
         depth=depth, dim=dim, heads=heads, patch_size=patch,
-        num_classes=4, image_size=image, image_channels=1,
+        num_classes=4, image_size=image, image_channels=1, exit_blocks=(depth,),
     )
 
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from reefl.backbone import BackboneConfig
+from reefl.backbone import ModelConfig
 from reefl.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -17,13 +17,12 @@ from reefl.checkpoint import (
 )
 from reefl.errors import FormatError
 from reefl.federation import init_global_model
-from reefl.ree import ExitSchedule
 
 
 def make_model(seed=0):
-    cfg = BackboneConfig(depth=4, dim=8, heads=2, patch_size=4,
-                         num_classes=4, image_size=8, image_channels=1)
-    return init_global_model(cfg, ExitSchedule((2, 4), 4), np.random.default_rng(seed))
+    cfg = ModelConfig(depth=4, dim=8, heads=2, patch_size=4, num_classes=4,
+                      image_size=8, image_channels=1, exit_blocks=(2, 4))
+    return init_global_model(cfg, np.random.default_rng(seed))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -37,8 +36,21 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in want:
         np.testing.assert_array_equal(want[name].data, got[name].data, err_msg=name)
     assert loaded.config == model.config
-    assert loaded.schedule.exit_blocks == model.schedule.exit_blocks
-    assert loaded.schedule.ree_everywhere == model.schedule.ree_everywhere
+
+
+def test_checkpoint_header_follows_config_fields(tmp_path):
+    cfg = ModelConfig(depth=4, dim=8, heads=2, patch_size=4, num_classes=4, image_size=8,
+                      image_channels=3, exit_blocks=(1, 3, 4), ree_everywhere=False)
+    model = init_global_model(cfg, np.random.default_rng(7))
+    assert _model_config_blob(model) == (
+        "depth=4\ndim=8\nheads=2\npatch_size=4\nnum_classes=4\nimage_size=8\n"
+        "image_channels=3\nexit_blocks=1,3,4\nree_everywhere=0"
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    assert loaded.params["ree.pos"].shape == (4, 8)
 
 
 def test_checkpoint_byte_reproducible(tmp_path):

@@ -55,7 +55,7 @@ def test_flag_overrides_file(tmp_path):
 
 def test_every_k_expansion():
     cfg = parse_config(overrides=["schedule.every_k=3", "model.depth=12"])
-    assert cfg.schedule().exit_blocks == (3, 6, 9, 12)
+    assert cfg.model_config().exit_blocks == (3, 6, 9, 12)
 
 
 def test_unknown_key_rejected(tmp_path):

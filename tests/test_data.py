@@ -4,7 +4,6 @@ import pytest
 from reefl.data import (
     Example,
     PartitionSpec,
-    dataset_meta,
     label_entropy,
     label_histogram,
     lda_partition,
@@ -52,17 +51,16 @@ def test_synth_pixels_in_unit_range():
 
 def test_synth_centralized_learnability():
     # calibration check: a 2-block model must clear 80% within 200 epochs
-    from reefl.backbone import BackboneConfig
+    from reefl.backbone import ModelConfig
     from reefl.federation import evaluate, init_global_model
-    from reefl.ree import ExitSchedule, forward_with_exits
+    from reefl.ree import forward_with_exits
     from reefl.training import TrainConfig, cosine_lr, exit_ce_losses, sgd_step, trainable_tensors
 
     data = synth_dataset(4, 40, image_size=16, rng=np.random.default_rng(20))
     train, test = split_train_test(data, 0.8, np.random.default_rng(21))
-    cfg = BackboneConfig(depth=2, dim=32, heads=4, patch_size=4,
-                         num_classes=4, image_size=16, image_channels=1)
-    schedule = ExitSchedule((2,), 2)
-    model = init_global_model(cfg, schedule, np.random.default_rng(22))
+    cfg = ModelConfig(depth=2, dim=32, heads=4, patch_size=4, num_classes=4,
+                      image_size=16, image_channels=1, exit_blocks=(2,))
+    model = init_global_model(cfg, np.random.default_rng(22))
     view = model
     tcfg = TrainConfig(total_rounds=200, batch_size=32, kd_enabled=False)
     trainable = trainable_tensors(view, "full")
@@ -76,7 +74,7 @@ def test_synth_centralized_learnability():
             idx = order[start:start + tcfg.batch_size]
             images = np.stack([train[i].image for i in idx])
             labels = np.array([train[i].label for i in idx])
-            trace = forward_with_exits(view, images, schedule)
+            trace = forward_with_exits(view, images)
             exit_ce_losses(trace, labels)[0].backward()
             sgd_step(trainable.values(), cosine_lr(epoch, tcfg), tcfg.clip)
         if epoch % 20 == 0:
@@ -192,8 +190,6 @@ def test_dataset_roundtrip(tmp_path):
     for a, b in zip(data, loaded):
         assert a.label == b.label
         np.testing.assert_array_equal(a.image, b.image)
-    meta = dataset_meta(path)
-    assert meta == {"num_classes": 4, "channels": 1, "height": 8, "width": 8, "count": 24}
 
 
 def test_dataset_truncated_file(tmp_path):

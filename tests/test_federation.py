@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reefl.backbone import BackboneConfig
+from reefl.backbone import ModelConfig
 from reefl.config import parse_config
 from reefl.data import synth_dataset
 from reefl.errors import AggregationError, BudgetError, ConfigError
@@ -18,15 +18,13 @@ from reefl.federation import (
     sample_clients,
     slice_submodel,
 )
-from reefl.ree import ExitSchedule
 from reefl.training import MODE_FROZEN, MODE_FULL
 
 
 def small_model(depth=4, dim=8, exit_blocks=(2, 4), seed=0, image=8):
-    cfg = BackboneConfig(depth=depth, dim=dim, heads=2, patch_size=4,
-                         num_classes=4, image_size=image, image_channels=1)
-    schedule = ExitSchedule(exit_blocks, depth)
-    return init_global_model(cfg, schedule, np.random.default_rng(seed))
+    cfg = ModelConfig(depth=depth, dim=dim, heads=2, patch_size=4, num_classes=4,
+                      image_size=image, image_channels=1, exit_blocks=exit_blocks)
+    return init_global_model(cfg, np.random.default_rng(seed))
 
 
 def cfg_overrides(**kw):
@@ -46,27 +44,24 @@ def cfg_overrides(**kw):
 
 
 def test_assign_budgets_even():
-    schedule = ExitSchedule((3, 6, 9, 12), 12)
-    budgets = assign_budgets(100, schedule)
+    budgets = assign_budgets(100, (3, 6, 9, 12))
     assert len(budgets) == 100
     for block in (3, 6, 9, 12):
         assert budgets.count(block) == 25
 
 
 def test_assign_budgets_one_per_exit():
-    schedule = ExitSchedule((2, 4), 4)
-    assert assign_budgets(2, schedule) == [2, 4]
+    assert assign_budgets(2, (2, 4)) == [2, 4]
 
 
 def test_assign_budgets_remainder_to_deepest():
-    schedule = ExitSchedule((3, 6, 9, 12), 12)
-    budgets = assign_budgets(10, schedule)
+    budgets = assign_budgets(10, (3, 6, 9, 12))
     assert [budgets.count(b) for b in (3, 6, 9, 12)] == [2, 2, 3, 3]
 
 
 def test_assign_budgets_too_few_clients():
     with pytest.raises(ConfigError):
-        assign_budgets(3, ExitSchedule((3, 6, 9, 12), 12))
+        assign_budgets(3, (3, 6, 9, 12))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -347,7 +342,7 @@ def test_evaluate_memorization_reaches_ceiling():
     images = np.stack([ex.image for ex in data])
     labels = np.array([ex.label for ex in data])
     for epoch in range(1, 81):
-        trace = forward_with_exits(view, images, model.schedule)
+        trace = forward_with_exits(view, images)
         losses = exit_ce_losses(trace, labels)
         total = losses[0]
         for ce in losses[1:]:

@@ -10,7 +10,6 @@ from reefl.numerics import (
     cross_entropy,
     gelu,
     grad_check,
-    kl_divergence,
     layer_norm,
     log_softmax,
     matmul,
@@ -241,37 +240,6 @@ def test_cross_entropy_backward_formula():
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(3), labels] -= 1.0
     np.testing.assert_allclose(x.grad, p / 3.0, atol=1e-12)
-
-
-# -- KL divergence -----------------------------------------------------------
-
-
-def test_kl_identity_is_zero():
-    p = Tensor([0.2, 0.3, 0.5], dtype=np.float64)
-    assert kl_divergence(p, p).item() == 0.0
-
-
-def test_kl_analytic():
-    p = Tensor([1.0, 0.0], dtype=np.float64)
-    q = Tensor([0.5, 0.5], dtype=np.float64)
-    assert abs(kl_divergence(p, q).item() - math.log(2.0)) < 1e-12
-
-
-def test_kl_matches_scalar_loop():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(6))
-        q = rng.dirichlet(np.ones(6))
-        got = kl_divergence(Tensor(p, dtype=np.float64), Tensor(q, dtype=np.float64)).item()
-        want = sum(pi * math.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
-        assert abs(got - want) < 1e-10
-        assert got >= -1e-12
-
-
-def test_kl_near_zero_q_stays_finite():
-    p = Tensor([0.5, 0.5], dtype=np.float64)
-    q = Tensor([1.0, 0.0], dtype=np.float64)
-    assert math.isfinite(kl_divergence(p, q).item())
 
 
 # -- elementwise / structural ---------------------------------------------------

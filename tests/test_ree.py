@@ -155,11 +155,11 @@ def test_modulate_touches_only_class_row():
 
 
 def test_modulate_fixed_point():
-    view, schedule = make_view(depth=2, seed=8)
+    view = make_view(depth=2, seed=8)
     rng = np.random.default_rng(9)
     imgs = batch(rng)
 
-    real = forward_with_exits(view, imgs, schedule, modulation=True)
+    real = forward_with_exits(view, imgs, modulation=True)
 
     calls = []
     orig = ree_mod.modulate
@@ -170,10 +170,10 @@ def test_modulate_fixed_point():
 
     ree_mod.modulate, saved = fixed_point, ree_mod.modulate
     try:
-        fp = forward_with_exits(view, imgs, schedule, modulation=True)
+        fp = forward_with_exits(view, imgs, modulation=True)
     finally:
         ree_mod.modulate = saved
-    off = forward_with_exits(view, imgs, schedule, modulation=False)
+    off = forward_with_exits(view, imgs, modulation=False)
     assert calls
     for a, b in zip(fp.activations, off.activations):
         np.testing.assert_array_equal(a.data, b.data)
@@ -181,8 +181,8 @@ def test_modulate_fixed_point():
 
 
 def test_forward_counts_everywhere_mode():
-    view, schedule = make_view(depth=12, dim=8, image=8, budget=3, seed=10)
-    trace = forward_with_exits(view, batch(np.random.default_rng(11)), schedule)
+    view = make_view(depth=12, dim=8, image=8, budget=3, seed=10)
+    trace = forward_with_exits(view, batch(np.random.default_rng(11)))
     assert len(trace.exit_logits) == 3
     assert len(trace.queue) == 4
     assert trace.exit_blocks == [1, 2, 3]
@@ -190,53 +190,53 @@ def test_forward_counts_everywhere_mode():
 
 
 def test_forward_counts_exit_only_mode():
-    view, schedule = make_view(
+    view = make_view(
         depth=12, dim=8, exit_blocks=(3, 6, 9, 12), ree_everywhere=False, seed=12,
     )
-    assert schedule.pos_rows == 5
-    trace = forward_with_exits(view, batch(np.random.default_rng(13)), schedule)
+    assert view.config.pos_rows == 5
+    trace = forward_with_exits(view, batch(np.random.default_rng(13)))
     assert len(trace.modulated) == 4
     assert len(trace.queue) == 5
     assert trace.exit_blocks == [3, 6, 9, 12]
 
 
 def test_forward_empty_batch_rejected():
-    view, schedule = make_view(seed=14)
+    view = make_view(seed=14)
     with pytest.raises(InputError):
-        forward_with_exits(view, np.zeros((0, 1, 8, 8), dtype=np.float32), schedule)
+        forward_with_exits(view, np.zeros((0, 1, 8, 8), dtype=np.float32))
 
 
 def test_forward_budget_below_first_exit():
-    view, schedule = make_view(depth=4, exit_blocks=(3, 4), budget=2, seed=15)
+    view = make_view(depth=4, exit_blocks=(3, 4), budget=2, seed=15)
     with pytest.raises(BudgetError):
-        forward_with_exits(view, batch(np.random.default_rng(16)), schedule)
+        forward_with_exits(view, batch(np.random.default_rng(16)))
 
 
 def test_exit_logits_causal_in_prefix():
     rng = np.random.default_rng(17)
     imgs = batch(rng)
-    full, schedule = make_view(depth=4, exit_blocks=(2, 4), seed=18)
-    short, _ = make_view(depth=4, exit_blocks=(2, 4), budget=2, seed=18)
-    t_full = forward_with_exits(full, imgs, schedule)
-    t_short = forward_with_exits(short, imgs, schedule)
+    full = make_view(depth=4, exit_blocks=(2, 4), seed=18)
+    short = make_view(depth=4, exit_blocks=(2, 4), budget=2, seed=18)
+    t_full = forward_with_exits(full, imgs)
+    t_short = forward_with_exits(short, imgs)
     np.testing.assert_array_equal(t_full.exit_logits[0].data, t_short.exit_logits[0].data)
 
 
 def test_exit_only_with_all_blocks_matches_everywhere():
     rng = np.random.default_rng(19)
     imgs = batch(rng)
-    a_view, a_sched = make_view(depth=4, ree_everywhere=True, seed=20)
-    b_view, b_sched = make_view(depth=4, ree_everywhere=False, seed=20)
-    ta = forward_with_exits(a_view, imgs, a_sched)
-    tb = forward_with_exits(b_view, imgs, b_sched)
-    assert a_sched.pos_rows == b_sched.pos_rows == 5
+    a_view = make_view(depth=4, ree_everywhere=True, seed=20)
+    b_view = make_view(depth=4, ree_everywhere=False, seed=20)
+    ta = forward_with_exits(a_view, imgs)
+    tb = forward_with_exits(b_view, imgs)
+    assert a_view.config.pos_rows == b_view.config.pos_rows == 5
     for la, lb in zip(ta.exit_logits, tb.exit_logits):
         np.testing.assert_array_equal(la.data, lb.data)
     np.testing.assert_array_equal(ta.activations[-1].data, tb.activations[-1].data)
 
 
 def test_classification_precedes_modulation():
-    view, schedule = make_view(depth=3, seed=21)
+    view = make_view(depth=3, seed=21)
     order = []
     saved_mod, saved_cls = ree_mod.modulate, ree_mod.classify_exit
 
@@ -250,25 +250,25 @@ def test_classification_precedes_modulation():
 
     ree_mod.modulate, ree_mod.classify_exit = spy_mod, spy_cls
     try:
-        forward_with_exits(view, batch(np.random.default_rng(22)), schedule)
+        forward_with_exits(view, batch(np.random.default_rng(22)))
     finally:
         ree_mod.modulate, ree_mod.classify_exit = saved_mod, saved_cls
     assert order == ["classify", "modulate"] * 3
 
 
 def test_modulation_ablation_changes_downstream():
-    view, schedule = make_view(depth=2, seed=23)
+    view = make_view(depth=2, seed=23)
     imgs = batch(np.random.default_rng(24))
-    on = forward_with_exits(view, imgs, schedule, modulation=True)
-    off = forward_with_exits(view, imgs, schedule, modulation=False)
+    on = forward_with_exits(view, imgs, modulation=True)
+    off = forward_with_exits(view, imgs, modulation=False)
     np.testing.assert_array_equal(on.exit_logits[0].data, off.exit_logits[0].data)
     assert not np.array_equal(on.exit_logits[1].data, off.exit_logits[1].data)
 
 
 def test_attention_maps_match_direct_recompute():
-    view, schedule = make_view(depth=3, seed=25)
+    view = make_view(depth=3, seed=25)
     imgs = batch(np.random.default_rng(26))
-    trace = forward_with_exits(view, imgs, schedule)
+    trace = forward_with_exits(view, imgs)
     maps = attention_maps(trace, 2, view)
     n = view.config.num_patches
     for arr in (maps.query_x, maps.query_m, maps.query_c):
@@ -286,9 +286,9 @@ def test_attention_maps_match_direct_recompute():
 
 
 def test_attention_maps_single_head_mean_is_identity():
-    view, schedule = make_view(depth=2, dim=8, heads=1, seed=27)
+    view = make_view(depth=2, dim=8, heads=1, seed=27)
     imgs = batch(np.random.default_rng(28))
-    trace = forward_with_exits(view, imgs, schedule)
+    trace = forward_with_exits(view, imgs)
     maps = attention_maps(trace, 1, view)
     prev = trace.activations[0]
     blk = view.params
@@ -300,15 +300,15 @@ def test_attention_maps_single_head_mean_is_identity():
 
 
 def test_attention_maps_block_not_executed():
-    view, schedule = make_view(depth=4, budget=2, exit_blocks=(1, 2, 3, 4), seed=29)
-    trace = forward_with_exits(view, batch(np.random.default_rng(30)), schedule)
+    view = make_view(depth=4, budget=2, exit_blocks=(1, 2, 3, 4), seed=29)
+    trace = forward_with_exits(view, batch(np.random.default_rng(30)))
     with pytest.raises(IndexError):
         attention_maps(trace, 3, view)
 
 
 def test_exit_only_mode_maps_missing_off_exit():
-    view, schedule = make_view(depth=4, exit_blocks=(2, 4), ree_everywhere=False, seed=31)
-    trace = forward_with_exits(view, batch(np.random.default_rng(32)), schedule)
+    view = make_view(depth=4, exit_blocks=(2, 4), ree_everywhere=False, seed=31)
+    trace = forward_with_exits(view, batch(np.random.default_rng(32)))
     maps = attention_maps(trace, 1, view)
     assert maps.query_m is None and maps.query_c is None
     maps2 = attention_maps(trace, 2, view)
@@ -316,7 +316,7 @@ def test_exit_only_mode_maps_missing_off_exit():
 
 
 def test_end_to_end_exit_loss_grad():
-    view, schedule = make_view(depth=2, dim=8, seed=33, dtype=np.float64)
+    view = make_view(depth=2, dim=8, seed=33, dtype=np.float64)
     rng = np.random.default_rng(34)
     view.params["ree.wo"].data[:] = rng.standard_normal(view.params["ree.wo"].shape) * 0.1
     view.params["ree.mlp_w2"].data[:] = rng.standard_normal(view.params["ree.mlp_w2"].shape) * 0.1
@@ -326,7 +326,7 @@ def test_end_to_end_exit_loss_grad():
     from reefl.numerics import cross_entropy
 
     def loss():
-        trace = forward_with_exits(view, imgs, schedule)
+        trace = forward_with_exits(view, imgs)
         total = cross_entropy(trace.exit_logits[0], labels)
         for logits in trace.exit_logits[1:]:
             total = total + cross_entropy(logits, labels)

@@ -276,17 +276,17 @@ def test_local_train_matches_manual_centralized_step():
     client = make_client(rng, n=4, cid=0)
     cfg = TrainConfig(total_rounds=10, batch_size=8, kd_enabled=False)
 
-    view_a, schedule = make_view(depth=2, seed=7)
-    view_b, _ = make_view(depth=2, seed=7)
+    view_a = make_view(depth=2, seed=7)
+    view_b = make_view(depth=2, seed=7)
 
-    local_train(client, view_a, cfg, round_t=3, rng=np.random.default_rng(99), schedule=schedule)
+    local_train(client, view_a, cfg, round_t=3, rng=np.random.default_rng(99))
 
     from reefl.training import all_named_tensors, exit_ce_losses as ce_fn
 
     order = np.random.default_rng(99).permutation(4)
     images = np.stack([client.train[i].image for i in order])
     labels = np.array([client.train[i].label for i in order])
-    trace = forward_with_exits(view_b, images, schedule)
+    trace = forward_with_exits(view_b, images)
     ces = ce_fn(trace, labels)
     total = ces[0]
     for ce in ces[1:]:
@@ -301,10 +301,10 @@ def test_local_train_matches_manual_centralized_step():
 def test_local_train_frozen_leaves_backbone_untouched():
     rng = np.random.default_rng(8)
     client = make_client(rng, n=6)
-    view, schedule = make_view(depth=2, seed=9)
+    view = make_view(depth=2, seed=9)
     before = {n: t.data.copy() for n, t in trainable_tensors(view, "full").items()}
     cfg = TrainConfig(total_rounds=5, batch_size=4, mode=MODE_FROZEN)
-    updated, n = local_train(client, view, cfg, 1, np.random.default_rng(10), schedule)
+    updated, n = local_train(client, view, cfg, 1, np.random.default_rng(10))
     assert n == 6
     assert all(not k.startswith("block") for k in updated)
     for name, t in trainable_tensors(view, "full").items():
@@ -317,16 +317,16 @@ def test_local_train_frozen_leaves_backbone_untouched():
 def test_local_train_updates_running_estimate_and_loss_decomposition():
     rng = np.random.default_rng(11)
     client = make_client(rng, n=4)
-    view, schedule = make_view(depth=2, seed=12)
+    view = make_view(depth=2, seed=12)
     cfg = TrainConfig(total_rounds=5, batch_size=8)
-    local_train(client, view, cfg, 2, np.random.default_rng(13), schedule)
+    local_train(client, view, cfg, 2, np.random.default_rng(13))
     assert client.estimate.initialized and len(client.estimate.values) == 2
 
-    view2, _ = make_view(depth=2, seed=12)
+    view2 = make_view(depth=2, seed=12)
     order = np.random.default_rng(13).permutation(4)
     images = np.stack([client.train[i].image for i in order])
     labels = np.array([client.train[i].label for i in order])
-    trace = forward_with_exits(view2, images, schedule)
+    trace = forward_with_exits(view2, images)
     ces = exit_ce_losses(trace, labels)
     est = update_running_estimate(RunningEstimate(), [c.item() for c in ces], cfg.zeta)
     kd, _ = kd_loss(trace, select_teacher(est), cfg.tau)
@@ -340,8 +340,8 @@ def test_local_train_determinism():
     for _ in range(2):
         rng = np.random.default_rng(14)
         client = make_client(rng, n=6)
-        view, schedule = make_view(depth=2, seed=15)
-        updated, _ = local_train(client, view, cfg, 1, np.random.default_rng(16), schedule)
+        view = make_view(depth=2, seed=15)
+        updated, _ = local_train(client, view, cfg, 1, np.random.default_rng(16))
         results.append({k: v.data.copy() for k, v in updated.items()})
     for name in results[0]:
         np.testing.assert_array_equal(results[0][name], results[1][name], err_msg=name)
@@ -350,13 +350,13 @@ def test_local_train_determinism():
 def test_local_train_leaves_no_reference_cycles():
     # Each training step's graph must be freed by reference counting alone.
     client = make_client(np.random.default_rng(17), n=4)
-    view, schedule = make_view(depth=2, seed=18)
+    view = make_view(depth=2, seed=18)
     cfg = TrainConfig(total_rounds=5, batch_size=4)
     gc.collect()
     gc.disable()
     try:
-        local_train(client, view, cfg, 1, np.random.default_rng(19), schedule)
-        del client, view, schedule
+        local_train(client, view, cfg, 1, np.random.default_rng(19))
+        del client, view
         unreachable = gc.collect()
     finally:
         gc.enable()
@@ -369,7 +369,7 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
     # the graph holds when it starts: each node's gradient and activations
     # are released once its rule has run.
     client = make_client(np.random.default_rng(23), n=24, image=16)
-    view, schedule = make_view(depth=8, dim=16, heads=4, image=16, patch=4, exit_blocks=(2, 4, 6, 8), seed=24)
+    view = make_view(depth=8, dim=16, heads=4, image=16, patch=4, exit_blocks=(2, 4, 6, 8), seed=24)
     cfg = TrainConfig(total_rounds=5, batch_size=24)
     run_backward = Tensor.backward
     seen = {}
@@ -383,7 +383,7 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", measured_backward)
     tracemalloc.start()
     try:
-        local_train(client, view, cfg, 1, np.random.default_rng(25), schedule)
+        local_train(client, view, cfg, 1, np.random.default_rng(25))
     finally:
         tracemalloc.stop()
     assert seen["peak"] <= 1.25 * seen["start"], seen
@@ -404,16 +404,16 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
         seen["checked"] = True
 
     monkeypatch.setattr(Tensor, "backward", checked_backward)
-    local_train(client, view, cfg, 2, np.random.default_rng(26), schedule)
+    local_train(client, view, cfg, 2, np.random.default_rng(26))
     assert seen["checked"]
 
 
 def test_local_train_overflow_raises_divergence_naming_client_round_batch():
     client = make_client(np.random.default_rng(20), n=4, cid=3)
-    view, schedule = make_view(depth=2, seed=21)
+    view = make_view(depth=2, seed=21)
     view.params["patch_embed"].data[:] = 1e38  # the first matmul overflows float32
     cfg = TrainConfig(total_rounds=5, batch_size=4)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
-        local_train(client, view, cfg, 2, np.random.default_rng(22), schedule)
+        local_train(client, view, cfg, 2, np.random.default_rng(22))
     assert str(info.value) == "non-finite loss for client 3 in round 2, batch 0"
     assert isinstance(info.value.__cause__, NonFiniteError)
