@@ -24,9 +24,9 @@ from .numerics import (
     gelu,
     layer_norm,
     matmul,
+    rearrange,
     reshape,
     softmax,
-    transpose,
 )
 
 LN_EPS = 1e-5
@@ -205,14 +205,14 @@ def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) 
     scale = 1.0 / float(np.sqrt(hd))
 
     def split(x: Tensor, t: int, axes) -> Tensor:  # [B,t,proj] -> heads-major layout
-        return transpose(reshape(x, (b, t, heads, hd)), axes)
+        return rearrange(x, axes, split=(b, t, heads, hd))
 
     q = split(matmul(zq, params[prefix + "wq"]), tq, (0, 2, 1, 3))  # [B,h,Tq,hd]
     k_t = split(matmul(zkv, params[prefix + "wk"]), tkv, (0, 2, 3, 1))  # [B,h,hd,Tkv]
     v = split(matmul(zkv, params[prefix + "wv"]), tkv, (0, 2, 1, 3))  # [B,h,Tkv,hd]
     attn = softmax(matmul(q, k_t) * scale, axis=-1)  # [B,h,Tq,Tkv]
     ctx = matmul(attn, v)  # [B,h,Tq,hd]
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, proj))
+    merged = rearrange(ctx, (0, 2, 1, 3), merge=(b, tq, proj))
     return matmul(merged, params[prefix + "wo"]), attn
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backbone import ModelConfig, covering_budget, init_backbone
+from .backbone import MLP_RATIO, ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
 from .data import (
     Example,
@@ -195,15 +195,41 @@ def comm_cost(view: Model, mode: str) -> int:
 # -- evaluation ------------------------------------------------------------------
 
 
+EVAL_BATCH_BYTES = 1 << 20  # half of a 2 MiB per-core L2 cache
+EVAL_BATCH_MAX = 64
+
+
+def eval_batch_size(config: ModelConfig, dtype=np.float32) -> int:
+    """Samples per evaluation batch: as many as keep the widest activation
+    within ``EVAL_BATCH_BYTES``, between 1 and ``EVAL_BATCH_MAX``.
+
+    One sample's widest activation has ``T * max(MLP_RATIO * d, heads * T)``
+    elements for T tokens: the MLP hidden layer or the attention scores.
+    """
+    t = config.num_tokens
+    widest = t * max(MLP_RATIO * config.dim, config.heads * t) * np.dtype(dtype).itemsize
+    return max(1, min(EVAL_BATCH_MAX, EVAL_BATCH_BYTES // widest))
+
+
 def evaluate(
     model: Model,
     test_set: list,
     modulation: bool = True,
-    batch_size: int = 64,
+    batch_size: int | None = None,
 ) -> np.ndarray:
-    """Top-1 accuracy of every exit over the full test set, full depth."""
+    """Top-1 accuracy of every exit over the full test set, full depth.
+
+    Batches default to ``eval_batch_size``: forward-only evaluation holds no
+    graph, so its memory peak is the widest activation of one batch, and
+    capping that at half the L2 cache keeps large models from setting the
+    process's peak. Small models still get 64-sample batches, which amortise
+    the per-op overhead. Accuracies do not depend on the batch size, since
+    every op treats samples independently.
+    """
     if not test_set:
         raise ConfigError("empty test set")
+    if batch_size is None:
+        batch_size = eval_batch_size(model.config, model.params["patch_embed"].dtype)
     exits = model.config.num_exits
     correct = np.zeros(exits, dtype=np.int64)
     with no_grad():

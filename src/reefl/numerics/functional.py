@@ -43,13 +43,13 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax; each slice along ``axis`` sums to 1."""
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    y = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
+            dot = np.add.reduce(g * y, axis=axis, keepdims=True)
             x._accumulate(y * (g - dot))
 
     return _from_op(y, (x,), backward)
@@ -67,16 +67,22 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """Bitwise ``x.mean(axis=-1, keepdims=True)`` without numpy's Python
+    wrapper: the sum divided in place by an ``np.intp`` count, as numpy's
+    ``_mean`` does."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
+
+
 def _centred_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x - mean`` and the biased variance over the last axis.
 
-    The variance is bitwise ``np.var(x, -1, keepdims=True)``: the same
-    squares summed, then divided by an ``np.intp`` count as numpy does.
+    The variance is bitwise ``np.var(x, -1, keepdims=True)``: the mean of
+    the squares, computed as ``_mean_last`` computes it.
     """
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(xc).sum(axis=-1, keepdims=True)
-    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
-    return xc, var
+    xc = x - _mean_last(x)
+    return xc, _mean_last(np.square(xc))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -92,16 +98,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     data = gamma.data * xhat + beta.data
 
     def backward(g):
+        axes = tuple(range(g.ndim - 1))
         if gamma.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            gamma._accumulate((g * xhat).sum(axis=axes))
+            gamma._accumulate(np.add.reduce(g * xhat, axis=axes))
         if beta.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            beta._accumulate(g.sum(axis=axes))
+            beta._accumulate(np.add.reduce(g, axis=axes))
         if x.requires_grad:
             dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = _mean_last(dxhat)
+            m2 = _mean_last(dxhat * xhat)
             x._accumulate(inv * (dxhat - m1 - xhat * m2))
 
     return _from_op(data, (x, gamma, beta), backward)

@@ -14,8 +14,9 @@ once an op output's rule has run, the output drops its rule, its parents
 and its gradient, so only leaves keep ``.grad``. A second ``backward()``
 that reaches a consumed op output raises ``StateError``.
 
-``narrow`` and ``broadcast_to`` return views of their input's data. Storage
-defaults to float32; pass float64 data for high-precision gradient checks.
+``narrow``, ``select`` and ``broadcast_to`` return views of their input's
+data. Storage defaults to float32; pass float64 data for high-precision
+gradient checks.
 """
 from __future__ import annotations
 
@@ -204,10 +205,7 @@ class Tensor:
         return narrow(self, axis, start, stop)
 
     def select(self, axis: int, index: int) -> "Tensor":
-        """Single index along ``axis``; the axis is removed."""
-        out = narrow(self, axis, index, index + 1)
-        new_shape = out.shape[:axis] + out.shape[axis + 1 :]
-        return reshape(out, new_shape)
+        return select(self, axis, index)
 
 
 def _consumed(g) -> None:
@@ -243,11 +241,13 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward, guard: bool 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for i, dim in enumerate(shape):
         if dim == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
+            g = np.add.reduce(g, axis=i, keepdims=True)
     return g
 
 
@@ -320,16 +320,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), backward)
 
 
-def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
-    axes = tuple(axes)
-    data = np.transpose(t.data, axes)
+def rearrange(t: Tensor, axes: tuple[int, ...], split=None, merge=None) -> Tensor:
+    """Reshape to ``split``, permute by ``axes``, reshape to ``merge``: one op.
+
+    Either reshape is skipped when its shape is None; attention uses this to
+    split heads out of, and merge them back into, the feature axis.
+    """
+    data = np.transpose(t.data if split is None else t.data.reshape(split), axes)
+    permuted = data.shape
+    if merge is not None:
+        data = data.reshape(merge)
 
     def backward(g):
         if t.requires_grad:
             inverse = sorted(range(len(axes)), key=axes.__getitem__)
-            t._accumulate(np.transpose(g, inverse))
+            t._accumulate(np.transpose(g.reshape(permuted), inverse).reshape(t.shape))
 
     return _from_op(data, (t,), backward, guard=False)
+
+
+def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
+    return rearrange(t, tuple(axes))
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -374,11 +385,35 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 def stack(tensors: Iterable[Tensor], axis: int) -> Tensor:
     ts = list(tensors)
-    expanded = []
-    for t in ts:
-        shape = t.shape[:axis] + (1,) + t.shape[axis:]
-        expanded.append(reshape(t, shape))
-    return concat(expanded, axis)
+    if not ts:
+        raise ShapeError("stack of zero tensors")
+    data = np.stack([t.data for t in ts], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+
+    def backward(g):
+        for i, t in enumerate(ts):
+            if t.requires_grad:
+                t._accumulate(g[lead + (i,)])
+
+    return _from_op(data, ts, backward, guard=False)
+
+
+def _gather(t: Tensor, axis: int, key) -> Tensor:
+    """``t.data`` indexed by ``key`` along ``axis``: an int or a slice gives
+    a view, an index array a copy whose repeated indices sum in backward."""
+    index = (slice(None),) * axis + (key,)
+    data = t.data[index]
+
+    def backward(g):
+        if t.requires_grad:
+            full = np.zeros_like(t.data)
+            if isinstance(key, np.ndarray):
+                np.add.at(full, index, g)
+            else:
+                full[index] = g
+            t._accumulate(full)
+
+    return _from_op(data, (t,), backward, guard=False)
 
 
 def narrow(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -386,18 +421,25 @@ def narrow(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
         axis += t.data.ndim
     if not (0 <= start < stop <= t.shape[axis]):
         raise ShapeError(f"narrow [{start}:{stop}] out of range for axis {axis} of {t.shape}")
-    index = [slice(None)] * t.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    data = t.data[index]
+    return _gather(t, axis, slice(start, stop))
 
-    def backward(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            full[index] = g
-            t._accumulate(full)
 
-    return _from_op(data, (t,), backward, guard=False)
+def select(t: Tensor, axis: int, index: int) -> Tensor:
+    """Single index along ``axis``; the axis is removed."""
+    if axis < 0:
+        axis += t.data.ndim
+    if not 0 <= index < t.shape[axis]:
+        raise ShapeError(f"select [{index}] out of range for axis {axis} of {t.shape}")
+    return _gather(t, axis, index)
+
+
+def take(t: Tensor, indices: Sequence[int], axis: int) -> Tensor:
+    """The listed indices along ``axis``, in order; repeats allowed."""
+    if axis < 0:
+        axis += t.data.ndim
+    if not all(0 <= i < t.shape[axis] for i in indices):
+        raise ShapeError(f"take {list(indices)} out of range for axis {axis} of {t.shape}")
+    return _gather(t, axis, np.asarray(indices, dtype=np.intp))
 
 
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -42,6 +42,7 @@ from .numerics import (
     no_grad,
     reshape,
     stack,
+    take,
 )
 
 REE_HEADS = 8
@@ -104,11 +105,9 @@ def ree_forward(queue: list, params: dict) -> tuple[Tensor, Tensor]:
     seq = stack(queue, axis=1) + narrow(pos, 0, 0, q)  # [B,q,d]
     normed = layer_norm(seq, params["ree.ln1_gamma"], params["ree.ln1_beta"])
 
-    def ends(x: Tensor) -> Tensor:  # rows 0 and q-1, [B,2,d]
-        return concat([narrow(x, 1, 0, 1), narrow(x, 1, q - 1, q)], axis=1)
-
-    attn_out, _ = msa_forward(ends(normed), normed, params, "ree.", REE_HEADS)
-    out = mlp_residual(ends(seq) + attn_out, params, "ree.")
+    ends = (0, q - 1)  # the rows read: [B,2,d]
+    attn_out, _ = msa_forward(take(normed, ends, axis=1), normed, params, "ree.", REE_HEADS)
+    out = mlp_residual(take(seq, ends, axis=1) + attn_out, params, "ree.")
     return out.select(1, 0), out.select(1, 1)
 
 
@@ -156,6 +155,11 @@ def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> For
     if images.shape[0] == 0:
         raise InputError("empty batch")
     budget, config = view.budget, view.config
+    expected = (config.image_channels, config.image_size, config.image_size)
+    if images.shape[1:] != expected:
+        raise InputError(
+            f"images have [C,H,W] shape {images.shape[1:]}, but the model expects {expected}"
+        )
     if budget < config.exit_blocks[0]:
         raise BudgetError(f"budget {budget} does not cover the first exit at block {config.exit_blocks[0]}")
     exit_set = frozenset(config.exit_blocks)

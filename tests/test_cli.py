@@ -300,3 +300,24 @@ def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     proc = run_cli(*tiny_args(out), f"--{override}")
     assert_clean_failure(proc, 2, message)
     assert not out.exists()
+
+
+# -- images that do not match the model's shape ---------------------------------------
+
+
+def test_run_file_dataset_of_other_image_size_exit_1(tmp_path):
+    ds = tmp_path / "twelve.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "8", "--image-size", "12"]) == 0
+    proc = run_cli(*tiny_args(tmp_path / "out", **{
+        "data.source": "file", "data.path": ds, "data.image_size": 16,
+    }))
+    assert_clean_failure(proc, 1, "images have [C,H,W] shape (1, 12, 12), but the model expects (1, 16, 16)")
+
+
+def test_attention_dataset_of_other_image_size_exit_1(tmp_path):
+    ckpt, _ = attention_inputs(tmp_path)
+    ds = tmp_path / "twelve.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "1", "--image-size", "12"]) == 0
+    proc = run_cli("attention", "--checkpoint", str(ckpt), "--dataset", str(ds), "--samples", "0",
+                   "--output", str(tmp_path / "attn.csv"))
+    assert_clean_failure(proc, 1, "images have [C,H,W] shape (1, 12, 12), but the model expects (1, 8, 8)")

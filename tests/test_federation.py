@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from reefl.federation import (
     assign_budgets,
     build_server,
     comm_cost,
+    eval_batch_size,
     evaluate,
     init_global_model,
     rng_for,
@@ -320,6 +323,64 @@ def test_evaluate_batch_partition_invariance():
     a = evaluate(model, data, batch_size=7)
     b = evaluate(model, data, batch_size=40)
     np.testing.assert_array_equal(a, b)
+
+
+def shape_config(depth, dim, image, exit_blocks, heads=4, patch=4):
+    return ModelConfig(depth=depth, dim=dim, heads=heads, patch_size=patch, num_classes=4,
+                       image_size=image, image_channels=1, exit_blocks=exit_blocks)
+
+
+def test_eval_batch_size_caps_the_widest_activation():
+    # criterion 7 (17 tokens, d=16) and eval_heavy (10 tokens, d=32) keep the
+    # cap; cross_silo (65 tokens, d=64) has 260 attention scores per token, so
+    # 65 * 260 * 4 B per sample and 2**20 // 67600 = 15 samples per batch.
+    assert eval_batch_size(shape_config(8, 16, 16, (2, 4, 6, 8))) == 64
+    assert eval_batch_size(shape_config(12, 32, 12, (3, 6, 9, 12))) == 64
+    assert eval_batch_size(shape_config(8, 64, 32, (2, 4, 6, 8))) == 15
+    assert eval_batch_size(shape_config(8, 64, 32, (2, 4, 6, 8)), np.float64) == 7
+    # one sample alone over the budget: 257 tokens * 4096 MLP units * 4 B
+    assert eval_batch_size(shape_config(1, 1024, 32, (1,), patch=2)) == 1
+
+
+def wide_model_and_data():
+    """Depth 2, d=64 on 32x32 images with patch 4: 65 tokens, as in cross_silo."""
+    model = init_global_model(shape_config(2, 64, 32, (1, 2)), np.random.default_rng(22))
+    data = synth_dataset(4, 16, image_size=32, rng=np.random.default_rng(23))
+    return model, data
+
+
+def test_evaluate_default_batch_gives_the_same_bits():
+    from reefl.numerics import no_grad
+    from reefl.ree import forward_with_exits
+
+    model, data = wide_model_and_data()
+    assert eval_batch_size(model.config) == 15
+    default = evaluate(model, data)
+    np.testing.assert_array_equal(default, evaluate(model, data, batch_size=64))
+    np.testing.assert_array_equal(default, evaluate(model, data, batch_size=1))
+    # the logits themselves do not depend on how the samples are batched
+    images = np.stack([ex.image for ex in data])
+    with no_grad():
+        whole = forward_with_exits(model, images).exit_logits
+        chunks = [forward_with_exits(model, images[i : i + 15]).exit_logits for i in range(0, 64, 15)]
+    for e, logits in enumerate(whole):
+        np.testing.assert_array_equal(logits.data, np.concatenate([c[e].data for c in chunks]))
+
+
+def test_evaluate_default_batch_lowers_the_memory_peak():
+    model, data = wide_model_and_data()
+
+    def traced_peak(**kw):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(model, data, **kw)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    default, full = traced_peak(), traced_peak(batch_size=64)
+    assert default < full / 2, (default, full)
 
 
 def test_evaluate_empty_test_set():

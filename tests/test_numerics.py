@@ -15,8 +15,12 @@ from reefl.numerics import (
     matmul,
     narrow,
     no_grad,
+    rearrange,
+    reshape,
+    select,
     softmax,
     stack,
+    take,
     tmean,
     transpose,
     tsum,
@@ -289,8 +293,15 @@ def test_concat_slice_roundtrip():
         lambda x, w: tmean(x * w),
         lambda x, w: tsum(tsum(x, axis=0) * tsum(w, axis=0)),
         lambda x, w: tsum(stack([x.select(0, 0), w.select(0, 1)], axis=0)),
+        lambda x, w: tsum(stack([x, w, x], axis=-1) * stack([w, w, x], axis=2)),
+        lambda x, w: tsum(select(x, -1, 2) * select(w, 1, 0)),
+        lambda x, w: tsum(take(x, (2, 0, 2), axis=1) * take(w, (1, 1, 0), axis=-1)),
+        lambda x, w: tsum(rearrange(x, (1, 0), split=(3, 2)) * w),
+        lambda x, w: tsum(rearrange(x, (1, 0), merge=(6,)) * w.reshape(6)),
+        lambda x, w: tsum(rearrange(x, (2, 0, 1), split=(2, 3, 1), merge=(3, 2)) * w.reshape(3, 2)),
     ],
-    ids=["add", "mul", "sub", "transpose", "reshape", "concat", "narrow", "mean", "axis-sum", "stack-select"],
+    ids=["add", "mul", "sub", "transpose", "reshape", "concat", "narrow", "mean", "axis-sum", "stack-select",
+         "stack-last-axis", "select", "take-repeats", "rearrange-split", "rearrange-merge", "rearrange-both"],
 )
 def test_structural_ops_grad_matches_fd(build):
     rng = np.random.default_rng(11)
@@ -298,6 +309,50 @@ def test_structural_ops_grad_matches_fd(build):
     w = param(rng, 2, 3)
     report = grad_check(lambda: build(x, w), {"x": x, "w": w})
     assert report.passed, report
+
+
+def test_fused_movement_ops_match_their_compositions_bitwise():
+    # Each fused op must give the same values, and its backward the same
+    # gradient layout, as the chain of single ops it replaces: a matmul
+    # downstream reads strides, so a different layout could change bits.
+    rng = np.random.default_rng(13)
+
+    def grads(build, *shapes):
+        xs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+        out = build(*xs)
+        seed = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(seed)
+        return out.data, [x.grad for x in xs]
+
+    def same(fused, chained, *shapes):
+        state = rng.bit_generator.state
+        got = grads(fused, *shapes)
+        rng.bit_generator.state = state
+        want = grads(chained, *shapes)
+        np.testing.assert_array_equal(got[0], want[0])
+        for g, w in zip(got[1], want[1]):
+            np.testing.assert_array_equal(g, w)
+            assert g.strides == w.strides
+
+    b, t, heads, hd = 3, 5, 2, 4
+    same(lambda x: rearrange(x, (0, 2, 3, 1), split=(b, t, heads, hd)),
+         lambda x: transpose(reshape(x, (b, t, heads, hd)), (0, 2, 3, 1)), (b, t, heads * hd))
+    same(lambda x: rearrange(x, (0, 2, 1, 3), merge=(b, t, heads * hd)),
+         lambda x: reshape(transpose(x, (0, 2, 1, 3)), (b, t, heads * hd)), (b, heads, t, hd))
+    same(lambda x, y: stack([x, y], axis=1),
+         lambda x, y: concat([reshape(x, (b, 1, hd)), reshape(y, (b, 1, hd))], axis=1), (b, hd), (b, hd))
+    same(lambda x: x.select(1, 2),
+         lambda x: reshape(narrow(x, 1, 2, 3), (b, hd)), (b, t, hd))
+    same(lambda x: take(x, (0, t - 1), axis=1),
+         lambda x: concat([narrow(x, 1, 0, 1), narrow(x, 1, t - 1, t)], axis=1), (b, t, hd))
+
+
+def test_select_and_take_reject_out_of_range():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        select(x, 1, 3)
+    with pytest.raises(ShapeError):
+        take(x, (0, 3), axis=1)
 
 
 def test_broadcast_add_grad():

@@ -206,6 +206,13 @@ def test_forward_empty_batch_rejected():
         forward_with_exits(view, np.zeros((0, 1, 8, 8), dtype=np.float32))
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 1, 12, 12), (2, 1, 8, 12)])
+def test_forward_images_of_other_shape_rejected(shape):
+    view = make_view(seed=14)
+    with pytest.raises(InputError, match=r"shape \(\d+, \d+, \d+\), but the model expects \(1, 8, 8\)"):
+        forward_with_exits(view, np.zeros(shape, dtype=np.float32))
+
+
 def test_forward_budget_below_first_exit():
     view = make_view(depth=4, exit_blocks=(3, 4), budget=2, seed=15)
     with pytest.raises(BudgetError):
