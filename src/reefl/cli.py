@@ -18,7 +18,7 @@ from .config import REGISTRY, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
 from .data import PartitionSpec
 from .errors import ConfigError, InputError, ReeflError
-from .federation import run_experiment_with_state, write_metrics_csv
+from .federation import build_server, run_rounds, write_metrics_csv
 from .ree import attention_maps, forward_with_exits
 
 
@@ -42,10 +42,12 @@ def cmd_run(config_path, overrides) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(cfg.resolved_text())
     try:
-        reports, state = run_experiment_with_state(cfg)
+        state = build_server(cfg)
+        # A run that fails while loading or partitioning its data leaves no output directory.
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.resolved").write_text(cfg.resolved_text())
+        reports = run_rounds(state)
     except ReeflError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

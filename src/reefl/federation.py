@@ -25,7 +25,7 @@ from .data import (
     split_train_test,
     synth_dataset,
 )
-from .errors import AggregationError, BudgetError, ConfigError
+from .errors import AggregationError, BudgetError, ConfigError, InputError
 from .numerics import Tensor, no_grad
 from .ree import forward_with_exits, init_classifier, init_ree
 from .training import (
@@ -270,6 +270,13 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
         num_classes = cfg["data.num_classes"]
     else:
         examples = load_dataset(cfg["data.path"])
+        # One file holds one image shape; a mismatch fails here, before any work.
+        shape = examples[0].image.shape
+        expected = (cfg["data.channels"], cfg["data.image_size"], cfg["data.image_size"])
+        if shape != expected:
+            raise InputError(
+                f"dataset images have [C,H,W] shape {shape}, but the model expects {expected}"
+            )
         num_classes = int(max(ex.label for ex in examples)) + 1
         if num_classes > cfg["model.num_classes"]:
             raise ConfigError(
@@ -364,9 +371,13 @@ def write_metrics_csv(path, reports: list, num_exits: int) -> None:
             )
 
 
+def run_rounds(state: ServerState) -> list[RoundReport]:
+    """Every configured round, in order, from a built server."""
+    return [run_round(state, t) for t in range(1, state.cfg["federation.total_rounds"] + 1)]
+
+
 def run_experiment_with_state(cfg: ExperimentConfig):
     """Full round loop; returns (reports, final server state)."""
     state = build_server(cfg)
-    reports = [run_round(state, t) for t in range(1, cfg["federation.total_rounds"] + 1)]
-    return reports, state
+    return run_rounds(state), state
 

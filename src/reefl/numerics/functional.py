@@ -1,15 +1,15 @@
 """Differentiable neural-net operations built on the tensor tape.
 
 Each op is a fused primitive with a hand-written backward rule that takes
-the gradient of the op's output; all rules are covered by central-difference
-checks in the test suite.
+the gradient of the op's output and captures only the arrays it reads; all
+rules are covered by central-difference checks in the test suite.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _from_op
+from .tensor import Tensor, _from_op, _node_of
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_C = 0.044715
@@ -28,17 +28,32 @@ def gelu(x: Tensor) -> Tensor:
     th *= _SQRT_2_OVER_PI
     np.tanh(th, out=th)
     data = 0.5 * d
-    data *= 1.0 + th
+    one_plus_th = 1.0 + th
+    data *= one_plus_th
+    node = _node_of(x)
+    if node is None:
+        return _from_op(data)
+    # The rule keeps one derivative array instead of both d and th: the
+    # plain formula 0.5 * (1 + th) + 0.5 * d * (1 - th * th) * sqrt(2/pi)
+    # * (1 + 3 * c * d * d), built in th's buffer in the same operation order.
+    # Reusing buffers keeps forward from freeing and reallocating arrays.
+    half_d = np.multiply(0.5, d, out=np.empty_like(d))
+    deriv = th
+    deriv *= th
+    np.subtract(1.0, deriv, out=deriv)
+    deriv *= half_d
+    deriv *= _SQRT_2_OVER_PI
+    poly = np.multiply(3.0 * _GELU_C, d, out=half_d)
+    poly *= d
+    poly += 1.0
+    deriv *= poly
+    one_plus_th *= 0.5
+    deriv += one_plus_th
 
     def backward(g):
-        if x.requires_grad:
-            sech2 = 1.0 - th * th
-            deriv = 0.5 * (1.0 + th) + 0.5 * d * sech2 * _SQRT_2_OVER_PI * (
-                1.0 + 3.0 * _GELU_C * d * d
-            )
-            x._accumulate(g * deriv)
+        node._accumulate(g * deriv)
 
-    return _from_op(data, (x,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -46,25 +61,29 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=axis, keepdims=True)
+    node = _node_of(x)
+    if node is None:
+        return _from_op(y)
 
     def backward(g):
-        if x.requires_grad:
-            dot = np.add.reduce(g * y, axis=axis, keepdims=True)
-            x._accumulate(y * (g - dot))
+        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
+        node._accumulate(y * (g - dot))
 
-    return _from_op(y, (x,), backward)
+    return _from_op(y, (node,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     data = x.data - x.data.max(axis=axis, keepdims=True)
     data -= np.log(np.exp(data).sum(axis=axis, keepdims=True))
+    node = _node_of(x)
+    if node is None:
+        return _from_op(data)
 
     def backward(g):
-        if x.requires_grad:
-            p = np.exp(data)
-            x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
+        p = np.exp(data)
+        node._accumulate(g - p * g.sum(axis=axis, keepdims=True))
 
-    return _from_op(data, (x,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -96,20 +115,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(xc, inv, out=xc)
     data = gamma.data * xhat + beta.data
+    nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
+    if nx is None and ngamma is None and nbeta is None:
+        return _from_op(data)
+    gamma_data = gamma.data
 
     def backward(g):
         axes = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            gamma._accumulate(np.add.reduce(g * xhat, axis=axes))
-        if beta.requires_grad:
-            beta._accumulate(np.add.reduce(g, axis=axes))
-        if x.requires_grad:
-            dxhat = g * gamma.data
+        if ngamma is not None:
+            ngamma._accumulate(np.add.reduce(g * xhat, axis=axes))
+        if nbeta is not None:
+            nbeta._accumulate(np.add.reduce(g, axis=axes))
+        if nx is not None:
+            dxhat = g * gamma_data
             m1 = _mean_last(dxhat)
             m2 = _mean_last(dxhat * xhat)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            nx._accumulate(inv * (dxhat - m1 - xhat * m2))
 
-    return _from_op(data, (x, gamma, beta), backward)
+    return _from_op(data, (nx, ngamma, nbeta), backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -132,11 +155,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = shifted - lse
     rows = np.arange(batch)
     data = np.asarray(-logp[rows, labels].mean(), dtype=logits.dtype)
+    node = _node_of(logits)
+    if node is None:
+        return _from_op(data)
 
     def backward(g):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            p[rows, labels] -= 1.0
-            logits._accumulate(g * p / batch)
+        p = np.exp(logp)
+        p[rows, labels] -= 1.0
+        node._accumulate(g * p / batch)
 
-    return _from_op(data, (logits,), backward)
+    return _from_op(data, (node,), backward)

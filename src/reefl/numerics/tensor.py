@@ -1,18 +1,28 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A define-by-run tape: every operation records a backward rule on its output
-tensor, and ``Tensor.backward()`` calls each rule with that output's
-gradient, in reverse topological order. A rule holds its inputs, never its
-output, so the graph is acyclic and reference counting frees it as soon as
-the last output is dropped. Gradients accumulate (a tensor consumed twice
-receives the sum of both path gradients); an incoming gradient array is
-stored as is, so gradient arrays may alias one another and none is ever
-written in place.
+A define-by-run tape whose graph links nodes, not tensors. An op with an
+input that needs a gradient gives its output a ``Node``: the output's
+gradient, the nodes of the inputs that need one, and the backward rule. A
+leaf (a parameter) is its own node and keeps ``.grad``. ``Tensor.backward()``
+calls each rule with its output's gradient, in reverse topological order.
 
-Graphs are single-use. Backward frees activations and gradients as it goes:
-once an op output's rule has run, the output drops its rule, its parents
-and its gradient, so only leaves keep ``.grad``. A second ``backward()``
-that reaches a consumed op output raises ``StateError``.
+A rule saves only the arrays it reads: ``matmul`` and ``mul`` keep an
+operand's data only when the other operand needs a gradient, ``softmax`` and
+``log_softmax`` their output, ``layer_norm`` the normalized input, the
+inverse deviation and gamma, ``gelu`` its derivative and ``cross_entropy``
+its log-probabilities; the other ops keep shapes. An activation therefore
+lives only while forward code or a rule that reads it holds it. Under
+``no_grad``, or when no input needs a gradient, an op saves nothing and
+builds no node. No node refers to its output, so the graph is acyclic and
+reference counting frees it once the last output is dropped. Gradients
+accumulate (a node reached twice receives the sum of both path gradients);
+an incoming gradient array is stored as is, so gradient arrays may alias
+one another and none is ever written in place.
+
+Graphs are single-use. Backward frees gradients and saved arrays as it goes:
+once a node's rule has run, the node drops its rule, its parents and its
+gradient, so only leaves keep ``.grad``. A second ``backward()`` that
+reaches a consumed node raises ``StateError``.
 
 ``narrow``, ``select`` and ``broadcast_to`` return views of their input's
 data. Storage defaults to float32; pass float64 data for high-precision
@@ -62,18 +72,37 @@ def _coerce(data, dtype) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """N-dimensional real array participating in a gradient graph."""
+class Node:
+    """An op output's place in the graph: the gradient flowing into it, the
+    nodes of the op's inputs that need one, and the op's backward rule."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "dtype", "_parents", "_backward")
+
+    def __init__(self, dtype, parents: tuple, backward: Callable[[np.ndarray], None]):
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        # Never in place: the stored array may be shared with other tensors.
+        if self.grad is None:
+            self.grad = g.astype(self.dtype, copy=False)
+        else:
+            self.grad = (self.grad + g).astype(self.dtype, copy=False)
+
+
+class Tensor:
+    """N-dimensional real array; an op output reaches the graph through its node."""
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         _guard_finite(self.data)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._grad: np.ndarray | None = None
+        self._node: Node | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -97,13 +126,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- graph ----------------------------------------------------------
+    # A leaf is its own node; an op output answers through the node its op built.
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # Never in place: the stored array may be shared with other tensors.
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is None:
+            self._grad = value
         else:
-            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
+            self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    _accumulate = Node._accumulate
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
@@ -121,13 +165,14 @@ class Tensor:
                 raise ShapeError("seed gradient shape mismatch")
 
         # Post-order DFS. This visiting order fixes the order in which a
-        # tensor's gradients are summed, so it fixes the output bits. Nodes
-        # without a rule (leaves, constants) are not pushed, which leaves the
-        # order of the other nodes unchanged; a consumed node keeps a rule
-        # (one that raises) so that reaching it again is an error.
-        topo: list[Tensor] = []
-        visited: set[Tensor] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        # node's gradients are summed, so it fixes the output bits. Nodes
+        # without a rule (leaves) are not pushed, which leaves the order of
+        # the other nodes unchanged; a consumed node keeps a rule (one that
+        # raises) so that reaching it again is an error.
+        root = self if self._node is None else self._node
+        topo: list = []
+        visited: set = set()
+        stack: list = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -140,10 +185,10 @@ class Tensor:
                         stack.append((p, False))
         del visited
 
-        # The graph is single-use: once an op output's rule has run, the node
-        # lets go of its rule, parents and gradient, so activations and
-        # gradients are freed while the sweep goes on. Leaves keep ``grad``.
-        self._accumulate(grad)
+        # The graph is single-use: once a node's rule has run, the node lets
+        # go of its rule, parents and gradient, so saved arrays and gradients
+        # are freed while the sweep goes on. Leaves keep ``grad``.
+        root._accumulate(grad)
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -218,24 +263,34 @@ def _lift(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward, guard: bool = True) -> Tensor:
-    """Build an op output; attach ``backward(grad_of_output)`` only when needed.
+def _node_of(t: Tensor):
+    """The node an op links to for input ``t``: None when grad is off or
+    ``t`` needs no gradient, the leaf itself, or the op output's node."""
+    if not (_grad_enabled and t.requires_grad):
+        return None
+    return t if t._node is None else t._node
 
-    Pure data-movement ops (reshape, slice, concat, ...) pass guard=False:
-    they cannot introduce non-finite values, their inputs were already checked.
+
+def _from_op(data: np.ndarray, parents: Sequence = (), backward=None, guard: bool = True) -> Tensor:
+    """Build an op output; with a rule ``backward(grad_of_output)``, give it a
+    node whose parents are the non-None entries of ``parents``.
+
+    An op passes a rule only when ``_node_of`` found an input that needs a
+    gradient. Pure data-movement ops (reshape, slice, concat, ...) pass
+    guard=False: they cannot introduce non-finite values, their inputs were
+    already checked.
     """
     if guard:
         _guard_finite(data)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._parents = ()
-    out._backward = None
-    out.requires_grad = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    out._grad = None
+    if backward is None:
+        out.requires_grad = False
+        out._node = None
+    else:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = Node(data.dtype, tuple(p for p in parents if p is not None), backward)
     return out
 
 
@@ -252,54 +307,72 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- elementwise / structural ops ----------------------------------------
+# A rule captures its parents' nodes and what it reads, never an input tensor.
 
 
 def add(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     data = a.data + b.data
+    na, nb = _node_of(a), _node_of(b)
+    if na is None and nb is None:
+        return _from_op(data)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, b_shape))
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _lift(b, a.dtype)
     data = a.data - b.data
+    na, nb = _node_of(a), _node_of(b)
+    if na is None and nb is None:
+        return _from_op(data)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(-g, b_shape))
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    na = _node_of(a)
     if not isinstance(b, Tensor):
         s = float(b)
         data = a.data * s
+        if na is None:
+            return _from_op(data)
 
         def backward_scalar(g):
-            if a.requires_grad:
-                a._accumulate(g * s)
+            na._accumulate(g * s)
 
-        return _from_op(data, (a,), backward_scalar)
+        return _from_op(data, (na,), backward_scalar)
 
     data = a.data * b.data
+    nb = _node_of(b)
+    if na is None and nb is None:
+        return _from_op(data)
+    a_shape, b_shape = a.shape, b.shape
+    # each operand's gradient reads the other operand's data
+    a_data = None if nb is None else a.data
+    b_data = None if na is None else b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g * b_data, a_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * a_data, b_shape))
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -308,16 +381,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    na, nb = _node_of(a), _node_of(b)
+    if na is None and nb is None:
+        return _from_op(data)
+    a_shape, b_shape = a.shape, b.shape
+    # each operand's gradient reads the other operand's data
+    a_data = None if nb is None else a.data
+    b_data = None if na is None else b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            na._accumulate(_unbroadcast(ga, a_shape))
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            nb._accumulate(_unbroadcast(gb, b_shape))
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def rearrange(t: Tensor, axes: tuple[int, ...], split=None, merge=None) -> Tensor:
@@ -330,13 +410,16 @@ def rearrange(t: Tensor, axes: tuple[int, ...], split=None, merge=None) -> Tenso
     permuted = data.shape
     if merge is not None:
         data = data.reshape(merge)
+    node = _node_of(t)
+    if node is None:
+        return _from_op(data, guard=False)
+    shape = t.shape
 
     def backward(g):
-        if t.requires_grad:
-            inverse = sorted(range(len(axes)), key=axes.__getitem__)
-            t._accumulate(np.transpose(g.reshape(permuted), inverse).reshape(t.shape))
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
+        node._accumulate(np.transpose(g.reshape(permuted), inverse).reshape(shape))
 
-    return _from_op(data, (t,), backward, guard=False)
+    return _from_op(data, (node,), backward, guard=False)
 
 
 def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -345,23 +428,28 @@ def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = t.data.reshape(shape)
+    node = _node_of(t)
+    if node is None:
+        return _from_op(data, guard=False)
     old = t.shape
 
     def backward(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(old))
+        node._accumulate(g.reshape(old))
 
-    return _from_op(data, (t,), backward, guard=False)
+    return _from_op(data, (node,), backward, guard=False)
 
 
 def broadcast_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = np.broadcast_to(t.data, shape)
+    node = _node_of(t)
+    if node is None:
+        return _from_op(data, guard=False)
+    old = t.shape
 
     def backward(g):
-        if t.requires_grad:
-            t._accumulate(_unbroadcast(g, t.shape))
+        node._accumulate(_unbroadcast(g, old))
 
-    return _from_op(data, (t,), backward, guard=False)
+    return _from_op(data, (node,), backward, guard=False)
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -369,18 +457,21 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     if not ts:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in ts], axis=axis)
+    nodes = [_node_of(t) for t in ts]
+    if all(n is None for n in nodes):
+        return _from_op(data, guard=False)
     sizes = [t.shape[axis] for t in ts]
 
     def backward(g):
         offset = 0
         index: list = [slice(None)] * g.ndim
-        for t, size in zip(ts, sizes):
-            if t.requires_grad:
+        for node, size in zip(nodes, sizes):
+            if node is not None:
                 index[axis] = slice(offset, offset + size)
-                t._accumulate(g[tuple(index)])
+                node._accumulate(g[tuple(index)])
             offset += size
 
-    return _from_op(data, ts, backward, guard=False)
+    return _from_op(data, nodes, backward, guard=False)
 
 
 def stack(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -388,14 +479,17 @@ def stack(tensors: Iterable[Tensor], axis: int) -> Tensor:
     if not ts:
         raise ShapeError("stack of zero tensors")
     data = np.stack([t.data for t in ts], axis=axis)
+    nodes = [_node_of(t) for t in ts]
+    if all(n is None for n in nodes):
+        return _from_op(data, guard=False)
     lead = (slice(None),) * (axis % data.ndim)
 
     def backward(g):
-        for i, t in enumerate(ts):
-            if t.requires_grad:
-                t._accumulate(g[lead + (i,)])
+        for i, node in enumerate(nodes):
+            if node is not None:
+                node._accumulate(g[lead + (i,)])
 
-    return _from_op(data, ts, backward, guard=False)
+    return _from_op(data, nodes, backward, guard=False)
 
 
 def _gather(t: Tensor, axis: int, key) -> Tensor:
@@ -403,17 +497,20 @@ def _gather(t: Tensor, axis: int, key) -> Tensor:
     a view, an index array a copy whose repeated indices sum in backward."""
     index = (slice(None),) * axis + (key,)
     data = t.data[index]
+    node = _node_of(t)
+    if node is None:
+        return _from_op(data, guard=False)
+    shape, dtype = t.shape, t.dtype
 
     def backward(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            if isinstance(key, np.ndarray):
-                np.add.at(full, index, g)
-            else:
-                full[index] = g
-            t._accumulate(full)
+        full = np.zeros(shape, dtype)
+        if isinstance(key, np.ndarray):
+            np.add.at(full, index, g)
+        else:
+            full[index] = g
+        node._accumulate(full)
 
-    return _from_op(data, (t,), backward, guard=False)
+    return _from_op(data, (node,), backward, guard=False)
 
 
 def narrow(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -445,18 +542,19 @@ def take(t: Tensor, indices: Sequence[int], axis: int) -> Tensor:
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = t.data.sum(axis=axis, keepdims=keepdims)
     data = np.asarray(data)
+    node = _node_of(t)
+    if node is None:
+        return _from_op(data)
+    shape = t.shape
 
     def backward(g):
-        if not t.requires_grad:
-            return
         if axis is not None and not keepdims:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(a % t.data.ndim for a in axes)
-            shape = tuple(1 if i in axes else d for i, d in enumerate(t.shape))
-            g = g.reshape(shape)
-        t._accumulate(np.broadcast_to(g, t.shape).copy())
+            axes = tuple(a % len(shape) for a in axes)
+            g = g.reshape(tuple(1 if i in axes else d for i, d in enumerate(shape)))
+        node._accumulate(np.broadcast_to(g, shape).copy())
 
-    return _from_op(data, (t,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:

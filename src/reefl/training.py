@@ -210,6 +210,9 @@ def local_train(
                     kd, degenerate = kd_loss(trace, teacher, cfg.tau)
                     if not degenerate:
                         total = total + kd * eta
+                # Block outputs that only the trace still holds die here,
+                # before backward starts.
+                del trace
                 batch_losses.append(total.item())
                 total.backward()
             except NonFiniteError as exc:

@@ -1,3 +1,6 @@
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -31,3 +34,22 @@ def make_view(
 @pytest.fixture
 def view_factory():
     return make_view
+
+
+@contextmanager
+def traced_memory():
+    """Trace allocations for the block; yields ``measure(fn, *args, **kwargs)``,
+    which runs ``fn`` and returns ``(start, peak)``: the traced bytes when
+    ``fn`` started and the most traced at any moment while it ran."""
+
+    def measure(fn, *args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return start, tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        yield measure
+    finally:
+        tracemalloc.stop()

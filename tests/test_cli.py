@@ -312,6 +312,17 @@ def test_run_file_dataset_of_other_image_size_exit_1(tmp_path):
         "data.source": "file", "data.path": ds, "data.image_size": 16,
     }))
     assert_clean_failure(proc, 1, "images have [C,H,W] shape (1, 12, 12), but the model expects (1, 16, 16)")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_file_dataset_of_other_channels_exit_1_no_output(tmp_path):
+    ds = tmp_path / "rgb.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "8",
+                 "--image-size", "8", "--channels", "3"]) == 0
+    out = tmp_path / "out"
+    proc = run_cli(*tiny_args(out, **{"data.source": "file", "data.path": ds}))
+    assert_clean_failure(proc, 1, "dataset images have [C,H,W] shape (3, 8, 8), but the model expects (1, 8, 8)")
+    assert not out.exists()
 
 
 def test_attention_dataset_of_other_image_size_exit_1(tmp_path):

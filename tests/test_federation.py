@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from reefl.backbone import ModelConfig
 from reefl.config import parse_config
 from reefl.data import synth_dataset
@@ -371,13 +370,9 @@ def test_evaluate_default_batch_lowers_the_memory_peak():
     model, data = wide_model_and_data()
 
     def traced_peak(**kw):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            evaluate(model, data, **kw)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        with traced_memory() as measure:
+            start, peak = measure(evaluate, model, data, **kw)
+        return peak - start
 
     default, full = traced_peak(), traced_peak(batch_size=64)
     assert default < full / 2, (default, full)

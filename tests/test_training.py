@@ -1,12 +1,13 @@
 import gc
 import math
-import tracemalloc
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from conftest import make_view
+from conftest import make_view, traced_memory
+from reefl import backbone
 from reefl.errors import (
     ConfigError,
     DivergenceError,
@@ -16,10 +17,12 @@ from reefl.errors import (
     TraceError,
 )
 from reefl.numerics import Tensor, grad_check
+from reefl.numerics import tensor as tensor_module
 from reefl.numerics.tensor import _consumed
 from reefl.ree import ForwardTrace, forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
+    MODE_FULL,
     RunningEstimate,
     TrainConfig,
     cosine_lr,
@@ -373,19 +376,13 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
     cfg = TrainConfig(total_rounds=5, batch_size=24)
     run_backward = Tensor.backward
     seen = {}
+    with traced_memory() as measure:
 
-    def measured_backward(self, grad=None):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run_backward(self, grad)
-        seen["start"], seen["peak"] = start, tracemalloc.get_traced_memory()[1]
+        def measured_backward(self, grad=None):
+            seen["start"], seen["peak"] = measure(run_backward, self, grad)
 
-    monkeypatch.setattr(Tensor, "backward", measured_backward)
-    tracemalloc.start()
-    try:
+        monkeypatch.setattr(Tensor, "backward", measured_backward)
         local_train(client, view, cfg, 1, np.random.default_rng(25))
-    finally:
-        tracemalloc.stop()
     assert seen["peak"] <= 1.25 * seen["start"], seen
 
     def checked_backward(self, grad=None):
@@ -406,6 +403,72 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", checked_backward)
     local_train(client, view, cfg, 2, np.random.default_rng(26))
     assert seen["checked"]
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_FROZEN])
+def test_backward_starts_without_arrays_no_rule_reads(monkeypatch, mode):
+    # A budget-8 step at criterion-7 shapes. The graph links nodes, and each
+    # rule saves only what it reads, so these arrays are freed before
+    # backward starts: the raw and scaled attention scores (the scale mul's
+    # and softmax's inputs), every GELU input and a block's residual sum.
+    # In frozen mode a backbone block after the first modulation still needs
+    # gradients, but its wq product against a frozen weight saves nothing of
+    # its input.
+    client = make_client(np.random.default_rng(27), n=24, image=16)
+    view = make_view(depth=8, dim=16, heads=4, image=16, patch=4, exit_blocks=(2, 4, 6, 8), seed=28)
+    cfg = TrainConfig(total_rounds=5, batch_size=24, mode=mode)
+    held = {}
+
+    def hold(kind, array):
+        held.setdefault(kind, []).append(weakref.ref(array))
+
+    def wrap(module, name, record):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record(out, *args)
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def record_mul(out, a, b):
+        if not isinstance(b, Tensor) and a.data.ndim == 4:
+            hold("raw scores", a.data)
+
+    def record_matmul(out, a, b):
+        if b is view.params["block3.wq"] and a.requires_grad:
+            hold("wq input", a.data)
+
+    def record_residual(out, zbar, *rest):
+        if "residual sum" not in held and zbar.requires_grad:
+            hold("residual sum", zbar.data)
+
+    wrap(tensor_module, "mul", record_mul)
+    wrap(backbone, "softmax", lambda out, x, **kw: hold("scaled scores", x.data))
+    wrap(backbone, "gelu", lambda out, x: hold("gelu input", x.data))
+    wrap(backbone, "mlp_residual", record_residual)
+    if mode == MODE_FROZEN:
+        wrap(backbone, "matmul", record_matmul)
+
+    run_backward = Tensor.backward
+    seen = {}
+    with traced_memory() as measure:
+
+        def checked_backward(self, grad=None):
+            seen["alive"] = {kind: sum(ref() is not None for ref in refs) for kind, refs in held.items()}
+            seen["start"], seen["peak"] = measure(run_backward, self, grad)
+
+        monkeypatch.setattr(Tensor, "backward", checked_backward)
+        local_train(client, view, cfg, 1, np.random.default_rng(29))
+    kinds = ["raw scores", "scaled scores", "gelu input", "residual sum"]
+    if mode == MODE_FROZEN:
+        kinds.append("wq input")
+    assert sorted(seen["alive"]) == sorted(kinds)
+    # 8 backbone blocks and 8 applications of the shared block
+    assert all(len(held[kind]) == 16 for kind in ("raw scores", "scaled scores", "gelu input"))
+    assert seen["alive"] == dict.fromkeys(kinds, 0), seen["alive"]
+    assert seen["peak"] <= 1.25 * seen["start"], seen
 
 
 def test_local_train_overflow_raises_divergence_naming_client_round_batch():
