@@ -131,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen-data", help="write a synthetic dataset file")
     gen_p.add_argument("--output", required=True)
-    gen_p.add_argument("--classes", type=int, default=4)
-    gen_p.add_argument("--per-class", dest="per_class", type=int, default=100)
-    gen_p.add_argument("--image-size", dest="image_size", type=int, default=16)
-    gen_p.add_argument("--channels", type=int, default=1)
-    gen_p.add_argument("--noise", type=float, default=0.25)
+    gen_p.add_argument("--classes", type=int, default=REGISTRY["data.num_classes"][1])
+    gen_p.add_argument("--per-class", dest="per_class", type=int, default=REGISTRY["data.per_class"][1])
+    gen_p.add_argument("--image-size", dest="image_size", type=int, default=REGISTRY["data.image_size"][1])
+    gen_p.add_argument("--channels", type=int, default=REGISTRY["data.channels"][1])
+    gen_p.add_argument("--noise", type=float, default=REGISTRY["data.noise"][1])
     gen_p.add_argument("--seed", type=int, default=0)
 
     part_p = sub.add_parser("partition", help="write a client partition manifest CSV")

@@ -6,10 +6,12 @@ fully resolved configuration can be echoed back out for reproducibility.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .backbone import ModelConfig
+from .data import DEFAULT_NOISE
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -40,6 +42,10 @@ def _format_value(value) -> str:
 
 _PARSERS = {int: int, float: float, bool: _parse_bool, str: lambda s: s.strip(), tuple: _parse_int_list}
 
+# Every TrainConfig field but total_rounds (federation.total_rounds) is a train.* key.
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "total_rounds"]
+_TRAIN_TYPES = get_type_hints(TrainConfig)
+
 # key -> (type, default)
 REGISTRY: dict[str, tuple] = {
     "seed": (int, 0),
@@ -53,17 +59,7 @@ REGISTRY: dict[str, tuple] = {
     "schedule.exit_blocks": (tuple, ()),
     "schedule.ree_everywhere": (bool, True),
     "schedule.modulation_enabled": (bool, True),
-    "train.lr0": (float, 5e-2),
-    "train.lr_min": (float, 1e-3),
-    "train.batch_size": (int, 32),
-    "train.local_epochs": (int, 1),
-    "train.clip": (float, 1.0),
-    "train.tau": (float, 1.0),
-    "train.zeta": (float, 0.2),
-    "train.eta_max": (float, 1.0),
-    "train.ramp_rounds": (int, 300),
-    "train.kd_enabled": (bool, True),
-    "train.mode": (str, "full"),
+    **{f"train.{f.name}": (_TRAIN_TYPES[f.name], f.default) for f in _TRAIN_FIELDS},
     "federation.num_clients": (int, 20),
     "federation.sample_fraction": (float, 0.1),
     "federation.total_rounds": (int, 100),
@@ -75,7 +71,7 @@ REGISTRY: dict[str, tuple] = {
     "data.per_class": (int, 100),
     "data.image_size": (int, 16),
     "data.channels": (int, 1),
-    "data.noise": (float, 0.25),
+    "data.noise": (float, DEFAULT_NOISE),
     "data.alpha": (float, 1.0),
     "data.split_ratio": (float, 0.8),
 }
@@ -111,18 +107,8 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            lr0=self["train.lr0"],
-            lr_min=self["train.lr_min"],
             total_rounds=self["federation.total_rounds"],
-            batch_size=self["train.batch_size"],
-            local_epochs=self["train.local_epochs"],
-            clip=self["train.clip"],
-            tau=self["train.tau"],
-            zeta=self["train.zeta"],
-            eta_max=self["train.eta_max"],
-            ramp_rounds=self["train.ramp_rounds"],
-            kd_enabled=self["train.kd_enabled"],
-            mode=self["train.mode"],
+            **{f.name: self[f"train.{f.name}"] for f in _TRAIN_FIELDS},
         )
 
     def validate(self) -> None:

@@ -57,6 +57,9 @@ def synth_dataset(
     """Class-conditional patterns + pixel noise, quantized to uint8 levels."""
     if num_classes < 2:
         raise ConfigError("need at least 2 classes")
+    for name, value in (("image_size", image_size), ("channels", channels)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     rng = rng or np.random.default_rng(0)
     shape = (channels, image_size, image_size)
     bases = rng.uniform(0.0, 1.0, size=(num_classes,) + shape)

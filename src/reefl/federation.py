@@ -68,7 +68,6 @@ class ClientState:
     id: int
     budget: int
     train: list = field(default_factory=list)
-    test: list = field(default_factory=list)
     estimate: RunningEstimate = field(default_factory=RunningEstimate)
     last_train_loss: float = 0.0
 
@@ -295,7 +294,7 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
     for cid, indices in enumerate(assignment):
         own = [examples[i] for i in indices]
         train, test = split_train_test(own, cfg["data.split_ratio"], rng_for(seed, _D_SPLIT, cid))
-        clients.append(ClientState(id=cid, budget=budgets[cid], train=train, test=test))
+        clients.append(ClientState(id=cid, budget=budgets[cid], train=train))
         test_set.extend(test)
 
     model = init_global_model(config, rng_for(seed, _D_MODEL))
@@ -374,10 +373,3 @@ def write_metrics_csv(path, reports: list, num_exits: int) -> None:
 def run_rounds(state: ServerState) -> list[RoundReport]:
     """Every configured round, in order, from a built server."""
     return [run_round(state, t) for t in range(1, state.cfg["federation.total_rounds"] + 1)]
-
-
-def run_experiment_with_state(cfg: ExperimentConfig):
-    """Full round loop; returns (reports, final server state)."""
-    state = build_server(cfg)
-    return run_rounds(state), state
-

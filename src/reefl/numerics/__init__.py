@@ -15,7 +15,6 @@ from .tensor import (
     stack,
     sub,
     take,
-    tmean,
     transpose,
     tsum,
 )
@@ -27,31 +26,3 @@ from .functional import (
     softmax,
 )
 from .gradcheck import GradCheckReport, grad_check
-
-__all__ = [
-    "DEFAULT_DTYPE",
-    "GradCheckReport",
-    "Tensor",
-    "add",
-    "broadcast_to",
-    "concat",
-    "cross_entropy",
-    "gelu",
-    "grad_check",
-    "layer_norm",
-    "log_softmax",
-    "matmul",
-    "mul",
-    "narrow",
-    "no_grad",
-    "rearrange",
-    "reshape",
-    "select",
-    "softmax",
-    "stack",
-    "sub",
-    "take",
-    "tmean",
-    "transpose",
-    "tsum",
-]

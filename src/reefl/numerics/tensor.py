@@ -2,8 +2,10 @@
 
 A define-by-run tape whose graph links nodes, not tensors. An op with an
 input that needs a gradient gives its output a ``Node``: the output's
-gradient, the nodes of the inputs that need one, and the backward rule. A
-leaf (a parameter) is its own node and keeps ``.grad``. ``Tensor.backward()``
+gradient, the nodes of the inputs that need one, and the backward rule.
+One protocol covers both kinds of node: a leaf (a parameter) is its own node,
+with no parents and no rule, and keeps ``.grad``; an op output answers only
+through its node, and its own ``.grad`` stays None. ``Tensor.backward()``
 calls each rule with its output's gradient, in reverse topological order.
 
 A rule saves only the arrays it reads: ``matmul`` and ``mul`` keep an
@@ -95,13 +97,13 @@ class Node:
 class Tensor:
     """N-dimensional real array; an op output reaches the graph through its node."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         _guard_finite(self.data)
         self.requires_grad = requires_grad
-        self._grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
         self._node: Node | None = None
 
     # -- introspection -------------------------------------------------
@@ -126,27 +128,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     # -- graph ----------------------------------------------------------
-    # A leaf is its own node; an op output answers through the node its op built.
+    # A leaf is its own node, with no parents and no rule; an op output
+    # reaches the graph only through the node its op built.
 
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad if self._node is None else self._node.grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        if self._node is None:
-            self._grad = value
-        else:
-            self._node.grad = value
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
-
+    _parents = ()
+    _backward = None
     _accumulate = Node._accumulate
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -204,50 +190,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a graph op; use mul with a reciprocal")
-        return mul(self, 1.0 / float(other))
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def narrow(self, axis: int, start: int, stop: int) -> "Tensor":
-        return narrow(self, axis, start, stop)
 
     def select(self, axis: int, index: int) -> "Tensor":
         return select(self, axis, index)
@@ -284,7 +234,7 @@ def _from_op(data: np.ndarray, parents: Sequence = (), backward=None, guard: boo
         _guard_finite(data)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out._grad = None
+    out.grad = None
     if backward is None:
         out.requires_grad = False
         out._node = None
@@ -311,25 +261,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _lift(b, a.dtype)
-    data = a.data + b.data
-    na, nb = _node_of(a), _node_of(b)
-    if na is None and nb is None:
-        return _from_op(data)
-    a_shape, b_shape = a.shape, b.shape
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(_unbroadcast(g, a_shape))
-        if nb is not None:
-            nb._accumulate(_unbroadcast(g, b_shape))
-
-    return _from_op(data, (na, nb), backward)
+    return _add_sub(a, b, negate_b=False)
 
 
 def sub(a: Tensor, b) -> Tensor:
+    return _add_sub(a, b, negate_b=True)
+
+
+def _add_sub(a: Tensor, b, negate_b: bool) -> Tensor:
     b = _lift(b, a.dtype)
-    data = a.data - b.data
+    data = a.data - b.data if negate_b else a.data + b.data
     na, nb = _node_of(a), _node_of(b)
     if na is None and nb is None:
         return _from_op(data)
@@ -339,7 +280,7 @@ def sub(a: Tensor, b) -> Tensor:
         if na is not None:
             na._accumulate(_unbroadcast(g, a_shape))
         if nb is not None:
-            nb._accumulate(_unbroadcast(-g, b_shape))
+            nb._accumulate(_unbroadcast(-g if negate_b else g, b_shape))
 
     return _from_op(data, (na, nb), backward)
 
@@ -555,14 +496,3 @@ def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         node._accumulate(np.broadcast_to(g, shape).copy())
 
     return _from_op(data, (node,), backward)
-
-
-def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = t.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for a in axes:
-            count *= t.shape[a % t.data.ndim]
-    return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / count)

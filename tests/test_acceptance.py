@@ -89,9 +89,9 @@ def criterion7_config(seed, modulation=True, kd=True):
 
 
 def _final_mean_accuracy(cfg):
-    from reefl.federation import run_experiment_with_state
+    from reefl.federation import build_server, run_rounds
 
-    reports, _ = run_experiment_with_state(cfg)
+    reports = run_rounds(build_server(cfg))
     final = [r for r in reports if r.exit_accuracy is not None][-1]
     return final.mean_accuracy
 

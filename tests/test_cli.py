@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import reefl
 from reefl.cli import main
 from reefl.config import parse_config
 from reefl.errors import ConfigError
+from reefl.training import TrainConfig
 
 
 TINY = {
@@ -43,6 +45,18 @@ def test_defaults_match_published_settings():
     assert cfg["train.lr_min"] == 1e-3
     assert cfg["train.local_epochs"] == 1
     assert cfg["train.mode"] == "full"
+
+
+# by type, a valid value other than every train field's default: (config text, parsed value)
+NON_DEFAULT = {bool: ("false", False), str: ("frozen", "frozen"), int: ("7", 7), float: ("0.5", 0.5)}
+
+
+@pytest.mark.parametrize("f", [f for f in fields(TrainConfig) if f.name != "total_rounds"], ids=lambda f: f.name)
+def test_every_train_field_is_a_config_key(f):
+    raw, value = NON_DEFAULT[type(f.default)]
+    assert parse_config()[f"train.{f.name}"] == f.default != value
+    got = getattr(parse_config(overrides=[f"train.{f.name}={raw}"]).train_config(), f.name)
+    assert got == value and type(got) is type(value)
 
 
 def test_flag_overrides_file(tmp_path):
@@ -300,6 +314,19 @@ def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     proc = run_cli(*tiny_args(out), f"--{override}")
     assert_clean_failure(proc, 2, message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--image-size", "-2", "image_size must be >= 1, got -2"),
+    ("--image-size", "0", "image_size must be >= 1, got 0"),
+    ("--channels", "-1", "channels must be >= 1, got -1"),
+    ("--channels", "0", "channels must be >= 1, got 0"),
+])
+def test_gen_data_image_without_pixels_exit_2(tmp_path, flag, value, message):
+    ds = tmp_path / "empty.ds"
+    proc = run_cli("gen-data", "--output", str(ds), flag, value)
+    assert_clean_failure(proc, 2, message)
+    assert not ds.exists()
 
 
 # -- images that do not match the model's shape ---------------------------------------

@@ -15,8 +15,8 @@ from reefl.federation import (
     evaluate,
     init_global_model,
     rng_for,
-    run_experiment_with_state,
     run_round,
+    run_rounds,
     sample_clients,
     slice_submodel,
 )
@@ -435,7 +435,7 @@ def test_exclude_underbudget_samples_only_full():
 def test_run_experiment_deterministic():
     outs = []
     for _ in range(2):
-        reports, _ = run_experiment_with_state(cfg_overrides())
+        reports = run_rounds(build_server(cfg_overrides()))
         outs.append(reports)
     for ra, rb in zip(*outs):
         np.testing.assert_array_equal(ra.exit_accuracy, rb.exit_accuracy)

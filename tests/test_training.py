@@ -386,7 +386,7 @@ def test_backward_frees_graph_as_it_goes(monkeypatch):
     assert seen["peak"] <= 1.25 * seen["start"], seen
 
     def checked_backward(self, grad=None):
-        nodes, stack = {}, [self]
+        nodes, stack = {}, [self._node]
         while stack:
             node = stack.pop()
             if node not in nodes:
