@@ -1,8 +1,9 @@
-"""Toy vision-transformer backbone executed as a depth prefix.
+"""Toy vision-transformer backbone: its shape, parameters and layers.
 
 Tokenizer + positional embeddings + class token, followed by a stack of
 architecturally identical blocks (pre-norm attention and MLP, both
-residual). A client with budget r runs only blocks 1..r.
+residual). ``ree.forward_with_exits`` runs blocks 1..r of a client with
+budget r, with the shared exit block between them.
 
 Parameters live in one flat ``name -> Tensor`` dict: ``patch_embed``,
 ``pos_embed``, ``class_token`` and ``block{l}.{field}``; forward functions
@@ -12,11 +13,10 @@ the whole model's shape, exit blocks included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import (
     Tensor,
     broadcast_to,
@@ -227,34 +227,3 @@ def block_forward(z: Tensor, params: dict, prefix: str, heads: int, eps: float =
     normed = layer_norm(z, params[prefix + "ln1_gamma"], params[prefix + "ln1_beta"], eps)
     attn_out, attn = msa_forward(normed, normed, params, prefix, heads)
     return mlp_residual(z + attn_out, params, prefix, eps), attn
-
-
-Hook = Callable[[int, Tensor], Optional[Tensor]]
-
-
-def prefix_forward(
-    params: dict,
-    images,
-    upto_block: int,
-    cfg: ModelConfig,
-    hook: Hook | None = None,
-) -> list[Tensor]:
-    """Run tokenize then blocks 1..upto_block.
-
-    After each block the hook is invoked as hook(l, tokens) and may return
-    replacement tokens (e.g. with the class-token row swapped) that feed
-    the next block; the returned activations are the raw block outputs,
-    index 0 holding the tokenized input.
-    """
-    if not 1 <= upto_block <= cfg.depth:
-        raise BudgetError(f"block budget {upto_block} outside [1, {cfg.depth}]")
-    z = tokenize(images, params, cfg)
-    activations = [z]
-    for l in range(1, upto_block + 1):
-        z, _ = block_forward(z, params, block_prefix(l), cfg.heads)
-        activations.append(z)
-        if hook is not None:
-            replacement = hook(l, z)
-            if replacement is not None:
-                z = replacement
-    return activations

@@ -6,6 +6,7 @@ fully resolved configuration can be echoed back out for reproducibility.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -160,6 +161,8 @@ def _set_value(values: dict, key: str, raw: str, origin: str) -> None:
         values[key] = _PARSERS[typ](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r} ({origin}): {exc}") from exc
+    if typ is float and not math.isfinite(values[key]):
+        raise ConfigError(f"bad value for {key!r} ({origin}): {values[key]} is not finite")
 
 
 def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:

@@ -38,8 +38,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_clients < 1:
             raise ConfigError("need at least one client")
-        if self.alpha <= 0:
-            raise ConfigError("Dirichlet concentration must be positive")
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ConfigError(f"Dirichlet concentration must be positive and finite, got {self.alpha}")
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:
@@ -60,6 +60,8 @@ def synth_dataset(
     for name, value in (("image_size", image_size), ("channels", channels)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not np.isfinite(noise):
+        raise ConfigError(f"noise must be finite, got {noise}")
     rng = rng or np.random.default_rng(0)
     shape = (channels, image_size, image_size)
     bases = rng.uniform(0.0, 1.0, size=(num_classes,) + shape)

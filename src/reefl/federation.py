@@ -31,7 +31,6 @@ from .ree import forward_with_exits, init_classifier, init_ree
 from .training import (
     MODE_FROZEN,
     MODE_FULL,
-    RunningEstimate,
     TrainConfig,
     cosine_lr,
     eta_schedule,
@@ -68,7 +67,7 @@ class ClientState:
     id: int
     budget: int
     train: list = field(default_factory=list)
-    estimate: RunningEstimate = field(default_factory=RunningEstimate)
+    estimate: Optional[np.ndarray] = None  # per-exit running CE estimate
     last_train_loss: float = 0.0
 
 

@@ -1,6 +1,5 @@
 """Tensor arithmetic with reverse-mode autodiff and a gradient checker."""
 from .tensor import (
-    DEFAULT_DTYPE,
     Tensor,
     add,
     broadcast_to,

@@ -196,9 +196,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def select(self, axis: int, index: int) -> "Tensor":
         return select(self, axis, index)
 
@@ -210,7 +207,8 @@ def _consumed(g) -> None:
 def _lift(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    # no guard: a non-finite scalar makes the op's output non-finite, and its guard catches that
+    return _from_op(np.asarray(x, dtype=dtype), guard=False)
 
 
 def _node_of(t: Tensor):
@@ -286,20 +284,9 @@ def _add_sub(a: Tensor, b, negate_b: bool) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    na = _node_of(a)
-    if not isinstance(b, Tensor):
-        s = float(b)
-        data = a.data * s
-        if na is None:
-            return _from_op(data)
-
-        def backward_scalar(g):
-            na._accumulate(g * s)
-
-        return _from_op(data, (na,), backward_scalar)
-
+    b = _lift(b, a.dtype)
     data = a.data * b.data
-    nb = _node_of(b)
+    na, nb = _node_of(a), _node_of(b)
     if na is None and nb is None:
         return _from_op(data)
     a_shape, b_shape = a.shape, b.shape
@@ -480,19 +467,14 @@ def take(t: Tensor, indices: Sequence[int], axis: int) -> Tensor:
     return _gather(t, axis, np.asarray(indices, dtype=np.intp))
 
 
-def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = t.data.sum(axis=axis, keepdims=keepdims)
-    data = np.asarray(data)
+def tsum(t: Tensor) -> Tensor:
+    data = np.asarray(t.data.sum())
     node = _node_of(t)
     if node is None:
         return _from_op(data)
     shape = t.shape
 
     def backward(g):
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(a % len(shape) for a in axes)
-            g = g.reshape(tuple(1 if i in axes else d for i, d in enumerate(shape)))
         node._accumulate(np.broadcast_to(g, shape).copy())
 
     return _from_op(data, (node,), backward)

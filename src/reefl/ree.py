@@ -1,13 +1,14 @@
-"""Recurrent early-exit block, shared classifier, and feature modulation.
+"""Recurrent early-exit block, shared classifier, and the forward loop.
 
-A single lightweight transformer block is applied recurrently over the
-growing queue of class tokens [meta, cls_1, ..., cls_l]. Its first output
-token feeds the shared classifier additively with the current class token;
-its last output token replaces the backbone's class token before the next
-block (feature modulation). No other output token is read, so the block
-attends from those two rows only, with keys and values over the whole
-queue. The same block parameters serve every depth, so one gradient step
-moves all applications at once.
+``forward_with_exits`` runs backbone blocks 1..budget. After each block
+where the config says, one lightweight transformer block is applied
+recurrently over the growing queue of class tokens [meta, cls_1, ...,
+cls_l]. Its first output token feeds the shared classifier additively with
+the current class token; its last output token replaces the backbone's
+class token before the next block (feature modulation). No other output
+token is read, so the block attends from those two rows only, with keys
+and values over the whole queue. The same block parameters serve every
+depth, so one gradient step moves all applications at once.
 
 The shared exit stack's parameters sit in the model's flat name -> tensor
 dict as ``ree.{block field}``, ``ree.z_meta``, ``ree.pos`` and
@@ -24,11 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .backbone import (
+    block_forward,
     block_prefix,
     init_block,
     mlp_residual,
     msa_forward,
-    prefix_forward,
+    tokenize,
     trunc_normal,
 )
 from .errors import BudgetError, InputError, ScheduleError, ShapeError
@@ -132,22 +134,21 @@ def modulate(tokens: Tensor, m_last: Tensor) -> Tensor:
 
 @dataclass
 class ForwardTrace:
-    """Everything recorded while running a sub-model with early exits."""
+    """What a forward with early exits recorded."""
 
     activations: list = field(default_factory=list)  # z^0..z^r, pre-modulation
-    queue: list = field(default_factory=list)  # [meta, class tokens...]
     exit_logits: list = field(default_factory=list)  # per exit within budget, [B,K]
-    exit_blocks: list = field(default_factory=list)  # block index per recorded exit
     modulated: dict = field(default_factory=dict)  # block -> (m_0, m_last)
 
 
 def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> ForwardTrace:
-    """Run blocks 1..budget, applying the shared exit block where the config says.
+    """Tokenize, then run blocks 1..budget with the shared exit block where the config says.
 
-    At each block where the shared block runs, the class token joins the
-    queue; at exit blocks logits are recorded from the original class token
-    before the modulated token replaces it for the next block. ``view``
-    is a model: its ``params`` dict, ``config`` and ``budget`` are read.
+    Raw block outputs are recorded, index 0 holding the tokens. Where the
+    shared block runs, the class token joins the queue; at exit blocks
+    logits are recorded from that class token, then the modulated token
+    replaces it for the next block. ``view`` is a model: its ``params``
+    dict, ``config`` and ``budget`` are read.
     """
     images = np.asarray(images)
     if images.ndim != 4:
@@ -160,32 +161,30 @@ def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> For
         raise InputError(
             f"images have [C,H,W] shape {images.shape[1:]}, but the model expects {expected}"
         )
-    if budget < config.exit_blocks[0]:
-        raise BudgetError(f"budget {budget} does not cover the first exit at block {config.exit_blocks[0]}")
+    if not config.exit_blocks[0] <= budget <= config.depth:
+        raise BudgetError(f"budget {budget} outside [first exit {config.exit_blocks[0]}, depth {config.depth}]")
     exit_set = frozenset(config.exit_blocks)
     b = images.shape[0]
     d = config.dim
 
     params = view.params
     trace = ForwardTrace()
-    meta = broadcast_to(reshape(params["ree.z_meta"], (1, d)), (b, d))
-    trace.queue.append(meta)
-
-    def hook(l: int, z: Tensor) -> Optional[Tensor]:
+    queue = [broadcast_to(reshape(params["ree.z_meta"], (1, d)), (b, d))]
+    z = tokenize(images, params, config)
+    trace.activations.append(z)
+    for l in range(1, budget + 1):
+        z, _ = block_forward(z, params, block_prefix(l), config.heads)
+        trace.activations.append(z)
         if not (config.ree_everywhere or l in exit_set):
-            return None
+            continue
         zcls = z.select(1, 0)
-        trace.queue.append(zcls)
-        m0, m_last = ree_forward(trace.queue, params)
+        queue.append(zcls)
+        m0, m_last = ree_forward(queue, params)
         trace.modulated[l] = (m0, m_last)
         if l in exit_set:
             trace.exit_logits.append(classify_exit(m0, zcls, params))
-            trace.exit_blocks.append(l)
         if modulation:
-            return modulate(z, m_last)
-        return None
-
-    trace.activations = prefix_forward(params, images, budget, config, hook)
+            z = modulate(z, m_last)
     return trace
 
 

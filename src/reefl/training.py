@@ -59,31 +59,21 @@ class TrainConfig:
             raise ConfigError(f"mode must be '{MODE_FULL}' or '{MODE_FROZEN}'")
 
 
-@dataclass
-class RunningEstimate:
-    """Exponential moving average of per-exit training CE losses."""
-
-    values: Optional[np.ndarray] = None
-
-    @property
-    def initialized(self) -> bool:
-        return self.values is not None
-
-
-def update_running_estimate(est: RunningEstimate, new_losses, zeta: float) -> RunningEstimate:
+def update_running_estimate(est: Optional[np.ndarray], new_losses, zeta: float) -> np.ndarray:
+    """Exponential moving average of per-exit training CE losses; ``None`` is unset."""
     new = np.asarray(new_losses, dtype=np.float64)
-    if not est.initialized:
-        return RunningEstimate(new.copy())
-    if new.shape != est.values.shape:
-        raise StateError(f"estimate length {est.values.shape} != new losses {new.shape}")
-    return RunningEstimate((1.0 - zeta) * est.values + zeta * new)
+    if est is None:
+        return new.copy()
+    if new.shape != est.shape:
+        raise StateError(f"estimate length {est.shape} != new losses {new.shape}")
+    return (1.0 - zeta) * est + zeta * new
 
 
-def select_teacher(est: RunningEstimate) -> int:
+def select_teacher(est: Optional[np.ndarray]) -> int:
     """Index of the exit with the lowest estimate; ties go to the shallowest."""
-    if not est.initialized:
+    if est is None:
         raise StateError("running estimate not initialized")
-    return int(np.argmin(est.values))
+    return int(np.argmin(est))
 
 
 def exit_ce_losses(trace: ForwardTrace, labels: np.ndarray, expected: Optional[int] = None) -> list:

@@ -34,7 +34,6 @@ from reefl.ree import forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
     MODE_FULL,
-    RunningEstimate,
     TrainConfig,
     all_named_tensors,
     cosine_lr,
@@ -318,16 +317,16 @@ def test_criterion_5_teacher_selection():
     values = (0.1, 0.2, 0.3, 0.4)
     ok = True
     for combo in itertools.product(values, repeat=4):
-        est = RunningEstimate(np.array(combo))
+        est = np.array(combo)
         want = combo.index(min(combo))  # shallowest tie by construction
         ok &= select_teacher(est) == want
     worst = 0.0
     zeta, init, target = 0.2, 3.7, 0.9
-    est = RunningEstimate(np.array([init]))
+    est = np.array([init])
     for t in range(1, 60):
         est = update_running_estimate(est, [target], zeta)
         closed = (1 - zeta) ** t * init + (1 - (1 - zeta) ** t) * target
-        worst = max(worst, abs(est.values[0] - closed))
+        worst = max(worst, abs(est[0] - closed))
     _report(
         "criterion 5 (teacher selection)",
         ok and worst < 1e-10,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import make_view
 from reefl.backbone import (
     ModelConfig,
     block_forward,
@@ -8,11 +9,11 @@ from reefl.backbone import (
     init_backbone,
     init_block,
     msa_forward,
-    prefix_forward,
     tokenize,
 )
 from reefl.errors import BudgetError, ConfigError, ShapeError
-from reefl.numerics import Tensor, concat, cross_entropy, grad_check, narrow, tsum
+from reefl.numerics import Tensor, concat, cross_entropy, grad_check, matmul, narrow, tsum
+from reefl.ree import forward_with_exits
 
 
 def tiny_cfg(depth=2, dim=8, heads=2, image=8, patch=4):
@@ -138,61 +139,35 @@ def test_msa_query_rows_match_self_attention_rows():
         msa_forward(z.select(0, 0), z.select(0, 0), blk, "b.", heads=2)
 
 
-def test_prefix_full_equals_sequential():
-    cfg = tiny_cfg(depth=3)
-    rng = np.random.default_rng(10)
-    params = init_backbone(cfg, rng)
-    img = rng.random((1, 1, 8, 8)).astype(np.float32)
-    acts = prefix_forward(params, img, upto_block=3, cfg=cfg)
-    z = tokenize(img, params, cfg)
-    for l in range(1, cfg.depth + 1):
-        z, _ = block_forward(z, params, block_prefix(l), cfg.heads)
-    np.testing.assert_array_equal(acts[-1].data, z.data)
-    assert len(acts) == 4
-
-
-def test_prefix_single_block():
-    cfg = tiny_cfg(depth=3)
-    params = init_backbone(cfg, np.random.default_rng(11))
-    img = np.zeros((1, 1, 8, 8), dtype=np.float32)
-    acts = prefix_forward(params, img, upto_block=1, cfg=cfg)
-    assert len(acts) == 2
+def run_blocks(params, images, cfg, upto):
+    """Tokenize, then blocks 1..upto; the tokens after each step, index 0 the input."""
+    acts = [tokenize(images, params, cfg)]
+    for l in range(1, upto + 1):
+        acts.append(block_forward(acts[-1], params, block_prefix(l), cfg.heads)[0])
+    return acts
 
 
 def test_prefix_budget_out_of_range():
-    cfg = tiny_cfg(depth=2)
-    params = init_backbone(cfg, np.random.default_rng(12))
+    view = make_view(depth=2, budget=3, seed=12)
     img = np.zeros((1, 1, 8, 8), dtype=np.float32)
     with pytest.raises(BudgetError):
-        prefix_forward(params, img, upto_block=3, cfg=cfg)
+        forward_with_exits(view, img)
 
 
 def test_hook_touches_only_class_row_downstream():
-    cfg = tiny_cfg(depth=2)
-    rng = np.random.default_rng(13)
-    params = init_backbone(cfg, rng)
-    img = rng.random((1, 1, 8, 8)).astype(np.float32)
-
-    def zero_cls(l, z):
-        if l == 1:
-            out = z.data.copy()
-            out[0, 0, :] = 0.0
-            return Tensor(out)
-        return None
-
-    plain = prefix_forward(params, img, 2, cfg)
-    hooked = prefix_forward(params, img, 2, cfg, hook=zero_cls)
-    np.testing.assert_array_equal(plain[1].data, hooked[1].data)  # block-1 output stored unhooked
-    assert not np.array_equal(plain[2].data, hooked[2].data)  # block-2 saw modified class row
+    view = make_view(depth=2, seed=13)
+    img = np.random.default_rng(13).random((1, 1, 8, 8)).astype(np.float32)
+    plain = forward_with_exits(view, img, modulation=False).activations
+    modulated = forward_with_exits(view, img, modulation=True).activations
+    np.testing.assert_array_equal(plain[1].data, modulated[1].data)  # block-1 output stored unmodulated
+    assert not np.array_equal(plain[2].data, modulated[2].data)  # block 2 saw the modulated class row
 
 
 def test_prefix_property_for_shorter_budget():
-    cfg = tiny_cfg(depth=3)
-    rng = np.random.default_rng(14)
-    params = init_backbone(cfg, rng)
-    img = rng.random((1, 1, 8, 8)).astype(np.float32)
-    short = prefix_forward(params, img, 2, cfg)
-    full = prefix_forward(params, img, 3, cfg)
+    img = np.random.default_rng(14).random((1, 1, 8, 8)).astype(np.float32)
+    short = forward_with_exits(make_view(depth=3, budget=2, seed=14), img).activations
+    full = forward_with_exits(make_view(depth=3, seed=14), img).activations
+    assert len(short) == 3 and len(full) == 4
     for a, b in zip(short, full):
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -203,7 +178,7 @@ def test_zero_weight_prefix_is_identity_on_tokens():
     params = init_backbone(cfg, rng)
     zero_residuals(params, cfg.depth)
     img = rng.random((1, 1, 8, 8)).astype(np.float32)
-    acts = prefix_forward(params, img, 2, cfg)
+    acts = run_blocks(params, img, cfg, 2)
     np.testing.assert_allclose(acts[-1].data, acts[0].data, atol=1e-5)
 
 
@@ -224,9 +199,9 @@ def test_end_to_end_classification_grad():
     labels = np.array([0, 3])
 
     def loss():
-        acts = prefix_forward(params, imgs, 2, cfg)
+        acts = run_blocks(params, imgs, cfg, 2)
         cls = acts[-1].select(1, 0)
-        return cross_entropy(cls @ w, labels)
+        return cross_entropy(matmul(cls, w), labels)
 
     checked = dict(params, head=w)
     report = grad_check(loss, checked)

@@ -308,6 +308,11 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
     ("train.lr0=-1", "lr0 must be >= 0, got -1.0"),
     ("train.lr_min=-1", "lr_min must be >= 0, got -1.0"),
     ("train.eta_max=-1", "eta_max must be >= 0, got -1.0"),
+    ("data.noise=inf", "bad value for 'data.noise' (override): inf is not finite"),
+    ("train.tau=nan", "bad value for 'train.tau' (override): nan is not finite"),
+    ("train.lr0=nan", "bad value for 'train.lr0' (override): nan is not finite"),
+    ("data.alpha=nan", "bad value for 'data.alpha' (override): nan is not finite"),
+    ("train.clip=inf", "bad value for 'train.clip' (override): inf is not finite"),
 ])
 def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     out = tmp_path / "out"
@@ -321,12 +326,22 @@ def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     ("--image-size", "0", "image_size must be >= 1, got 0"),
     ("--channels", "-1", "channels must be >= 1, got -1"),
     ("--channels", "0", "channels must be >= 1, got 0"),
+    ("--noise", "nan", "noise must be finite, got nan"),
 ])
 def test_gen_data_image_without_pixels_exit_2(tmp_path, flag, value, message):
     ds = tmp_path / "empty.ds"
     proc = run_cli("gen-data", "--output", str(ds), flag, value)
     assert_clean_failure(proc, 2, message)
     assert not ds.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_partition_non_finite_alpha_exit_2(tmp_path, alpha):
+    ds, manifest = tmp_path / "toy.ds", tmp_path / "parts.csv"
+    assert main(["gen-data", "--output", str(ds), "--classes", "3", "--per-class", "4", "--image-size", "8"]) == 0
+    proc = run_cli("partition", "--dataset", str(ds), "--clients", "2", "--alpha", alpha, "--output", str(manifest))
+    assert_clean_failure(proc, 2, f"Dirichlet concentration must be positive and finite, got {alpha}")
+    assert not manifest.exists()
 
 
 # -- images that do not match the model's shape ---------------------------------------

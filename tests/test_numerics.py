@@ -289,7 +289,6 @@ def test_concat_slice_roundtrip():
         lambda x, w: tsum(reshape(x, (6,)) * reshape(w, (6,))),
         lambda x, w: tsum(concat([x, w], axis=0)),
         lambda x, w: tsum(narrow(x, 1, 1, 3) * narrow(w, 1, 0, 2)),
-        lambda x, w: tsum(tsum(x, axis=0) * tsum(w, axis=0)),
         lambda x, w: tsum(stack([x.select(0, 0), w.select(0, 1)], axis=0)),
         lambda x, w: tsum(stack([x, w, x], axis=-1) * stack([w, w, x], axis=2)),
         lambda x, w: tsum(select(x, -1, 2) * select(w, 1, 0)),
@@ -298,7 +297,7 @@ def test_concat_slice_roundtrip():
         lambda x, w: tsum(rearrange(x, (1, 0), merge=(6,)) * reshape(w, (6,))),
         lambda x, w: tsum(rearrange(x, (2, 0, 1), split=(2, 3, 1), merge=(3, 2)) * reshape(w, (3, 2))),
     ],
-    ids=["add", "mul", "sub", "transpose", "reshape", "concat", "narrow", "axis-sum", "stack-select",
+    ids=["add", "mul", "sub", "transpose", "reshape", "concat", "narrow", "stack-select",
          "stack-last-axis", "select", "take-repeats", "rearrange-split", "rearrange-merge", "rearrange-both"],
 )
 def test_structural_ops_grad_matches_fd(build):

@@ -184,8 +184,7 @@ def test_forward_counts_everywhere_mode():
     view = make_view(depth=12, dim=8, image=8, budget=3, seed=10)
     trace = forward_with_exits(view, batch(np.random.default_rng(11)))
     assert len(trace.exit_logits) == 3
-    assert len(trace.queue) == 4
-    assert trace.exit_blocks == [1, 2, 3]
+    assert list(trace.modulated) == [1, 2, 3]
     assert len(trace.modulated) == 3
 
 
@@ -196,8 +195,7 @@ def test_forward_counts_exit_only_mode():
     assert view.config.pos_rows == 5
     trace = forward_with_exits(view, batch(np.random.default_rng(13)))
     assert len(trace.modulated) == 4
-    assert len(trace.queue) == 5
-    assert trace.exit_blocks == [3, 6, 9, 12]
+    assert list(trace.modulated) == [3, 6, 9, 12] and len(trace.exit_logits) == 4
 
 
 def test_forward_empty_batch_rejected():

@@ -23,7 +23,6 @@ from reefl.ree import ForwardTrace, forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
     MODE_FULL,
-    RunningEstimate,
     TrainConfig,
     cosine_lr,
     eta_schedule,
@@ -41,7 +40,7 @@ from reefl.training import (
 class FakeClient:
     id: int = 0
     train: list = field(default_factory=list)
-    estimate: RunningEstimate = field(default_factory=RunningEstimate)
+    estimate: np.ndarray | None = None
 
 
 @dataclass
@@ -61,7 +60,6 @@ def make_client(rng, n=8, image=8, classes=4, cid=0):
 def trace_with_logits(*logit_arrays):
     trace = ForwardTrace()
     trace.exit_logits = [Tensor(np.asarray(a, dtype=np.float64)) for a in logit_arrays]
-    trace.exit_blocks = list(range(1, len(trace.exit_logits) + 1))
     return trace
 
 
@@ -117,39 +115,39 @@ def test_exit_ce_missing_exits():
 
 
 def test_update_running_estimate_ema():
-    est = RunningEstimate(np.array([1.0]))
+    est = np.array([1.0])
     out = update_running_estimate(est, [0.0], zeta=0.2)
-    assert abs(out.values[0] - 0.8) < 1e-12
+    assert abs(out[0] - 0.8) < 1e-12
 
 
 def test_update_full_replacement_and_adoption():
-    est = update_running_estimate(RunningEstimate(), [0.3, 0.7], zeta=0.2)
-    np.testing.assert_array_equal(est.values, [0.3, 0.7])
+    est = update_running_estimate(None, [0.3, 0.7], zeta=0.2)
+    np.testing.assert_array_equal(est, [0.3, 0.7])
     est = update_running_estimate(est, [1.0, 2.0], zeta=1.0)
-    np.testing.assert_array_equal(est.values, [1.0, 2.0])
+    np.testing.assert_array_equal(est, [1.0, 2.0])
 
 
 def test_update_geometric_convergence():
-    est = RunningEstimate(np.array([5.0]))
+    est = np.array([5.0])
     zeta, target = 0.2, 1.0
     for t in range(1, 30):
         est = update_running_estimate(est, [target], zeta)
         want = (1 - zeta) ** t * 5.0 + (1 - (1 - zeta) ** t) * target
-        assert abs(est.values[0] - want) < 1e-10
+        assert abs(est[0] - want) < 1e-10
 
 
 def test_update_length_mismatch():
     with pytest.raises(StateError):
-        update_running_estimate(RunningEstimate(np.array([1.0])), [1.0, 2.0], 0.2)
+        update_running_estimate(np.array([1.0]), [1.0, 2.0], 0.2)
 
 
 def test_select_teacher_argmin_and_ties():
-    assert select_teacher(RunningEstimate(np.array([0.5, 0.2, 0.9]))) == 1
-    assert select_teacher(RunningEstimate(np.array([0.3, 0.3]))) == 0
+    assert select_teacher(np.array([0.5, 0.2, 0.9])) == 1
+    assert select_teacher(np.array([0.3, 0.3])) == 0
     base = np.array([0.7, 0.2, 0.4, 0.9])
-    assert select_teacher(RunningEstimate(base)) == select_teacher(RunningEstimate(base + 3.0))
+    assert select_teacher(base) == select_teacher(base + 3.0)
     with pytest.raises(StateError):
-        select_teacher(RunningEstimate())
+        select_teacher(None)
 
 
 # -- KD loss ----------------------------------------------------------
@@ -323,7 +321,7 @@ def test_local_train_updates_running_estimate_and_loss_decomposition():
     view = make_view(depth=2, seed=12)
     cfg = TrainConfig(total_rounds=5, batch_size=8)
     local_train(client, view, cfg, 2, np.random.default_rng(13))
-    assert client.estimate.initialized and len(client.estimate.values) == 2
+    assert client.estimate is not None and len(client.estimate) == 2
 
     view2 = make_view(depth=2, seed=12)
     order = np.random.default_rng(13).permutation(4)
@@ -331,7 +329,7 @@ def test_local_train_updates_running_estimate_and_loss_decomposition():
     labels = np.array([client.train[i].label for i in order])
     trace = forward_with_exits(view2, images)
     ces = exit_ce_losses(trace, labels)
-    est = update_running_estimate(RunningEstimate(), [c.item() for c in ces], cfg.zeta)
+    est = update_running_estimate(None, [c.item() for c in ces], cfg.zeta)
     kd, _ = kd_loss(trace, select_teacher(est), cfg.tau)
     want = sum(c.item() for c in ces) + eta_schedule(2, cfg) * kd.item()
     assert abs(client.last_train_loss - want) < 1e-6
