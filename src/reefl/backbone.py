@@ -55,7 +55,7 @@ class ModelConfig:
     ree_everywhere: bool = True
 
     def __post_init__(self):
-        for key in ("depth", "dim", "heads", "patch_size", "image_channels"):
+        for key in ("depth", "dim", "heads", "patch_size", "image_size", "image_channels"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.dim % self.heads != 0:

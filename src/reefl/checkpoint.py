@@ -36,10 +36,9 @@ _ENCODE = {tuple: lambda v: ",".join(str(b) for b in v), bool: lambda v: str(int
 _DECODE = {tuple: lambda s: tuple(int(b) for b in s.split(",")), bool: lambda s: bool(int(s)), int: int}
 
 
-def _model_config_blob(model: Model) -> str:
+def _model_config_blob(config: ModelConfig) -> str:
     return "\n".join(
-        f"{f.name}={_ENCODE[_FIELD_TYPES[f.name]](getattr(model.config, f.name))}"
-        for f in fields(ModelConfig)
+        f"{f.name}={_ENCODE[_FIELD_TYPES[f.name]](getattr(config, f.name))}" for f in fields(ModelConfig)
     )
 
 
@@ -71,7 +70,7 @@ def _parse_config_blob(raw: bytes, offset: int) -> ModelConfig:
 
 
 def save_checkpoint(path, model: Model) -> None:
-    blob = _model_config_blob(model).encode()
+    blob = _model_config_blob(model.config).encode()
     tensors = model.params
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -152,13 +151,10 @@ def load_checkpoint(path) -> Model:
 
 
 def describe_checkpoint(path) -> str:
-    """Human-readable header + tensor listing for the inspect command."""
+    """The config header as written (one ``key=value`` line per field), then the tensor listing."""
     tensors, cfg = load_named_tensors(path)
     lines = [
-        f"backbone: depth={cfg.depth} dim={cfg.dim} heads={cfg.heads} "
-        f"patch={cfg.patch_size} classes={cfg.num_classes} "
-        f"image={cfg.image_channels}x{cfg.image_size}x{cfg.image_size}",
-        f"schedule: exits={list(cfg.exit_blocks)} ree_everywhere={cfg.ree_everywhere}",
+        _model_config_blob(cfg),
         f"tensors: {len(tensors)} ({sum(t.size for t in tensors.values())} parameters)",
     ]
     for name in sorted(tensors):

@@ -2,7 +2,9 @@
 
 Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
 Config values come from an optional key=value file plus ``--key=value``
-overrides (e.g. ``--train.lr0=0.01``).
+overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
+config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
+failure prints one ``error:`` line.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 from .checkpoint import describe_checkpoint, load_checkpoint, save_checkpoint
 from .config import REGISTRY, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
-from .data import PartitionSpec
 from .errors import ConfigError, InputError, ReeflError
 from .federation import build_server, run_rounds, write_metrics_csv
 from .ree import attention_maps, forward_with_exits
@@ -36,21 +37,15 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], list[str]]:
 
 
 def cmd_run(config_path, overrides) -> int:
-    try:
-        cfg = parse_config(config_path, overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(config_path, overrides)
     out_dir = Path(cfg["output_dir"])
-    try:
-        state = build_server(cfg)
-        # A run that fails while loading or partitioning its data leaves no output directory.
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.resolved").write_text(cfg.resolved_text())
+    state = build_server(cfg)
+    # A run that fails while loading or partitioning its data leaves no output directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.resolved").write_text(cfg.resolved_text())
+    # Every op's finite guard reports a fault as a typed error; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         reports = run_rounds(state)
-    except ReeflError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     write_metrics_csv(out_dir / "metrics.csv", reports, state.model.config.num_exits)
     save_checkpoint(out_dir / "checkpoint.ckpt", state.model)
     evaluated = [r for r in reports if r.exit_accuracy is not None]
@@ -72,10 +67,7 @@ def cmd_attention(checkpoint_path, dataset_path, sample_ids, output) -> int:
         image = examples[sid].image[None]
         trace = forward_with_exits(model, image, modulation=True)
         for block in range(1, model.config.depth + 1):
-            maps = attention_maps(trace, block, model)
-            for variant, arr in (("x", maps.query_x), ("m", maps.query_m), ("c", maps.query_c)):
-                if arr is None:
-                    continue
+            for variant, arr in attention_maps(trace, block, model).items():
                 for token_index, weight in enumerate(arr[0]):
                     rows.append((sid, block, variant, token_index, f"{weight:.8f}"))
     with open(output, "w", newline="") as f:
@@ -83,11 +75,6 @@ def cmd_attention(checkpoint_path, dataset_path, sample_ids, output) -> int:
         writer.writerow(["sample_id", "block", "variant", "token_index", "weight"])
         writer.writerows(rows)
     print(f"wrote {len(rows)} attention rows to {output}")
-    return 0
-
-
-def cmd_inspect(checkpoint_path) -> int:
-    print(describe_checkpoint(checkpoint_path))
     return 0
 
 
@@ -106,7 +93,7 @@ def cmd_gen_data(args) -> int:
 def cmd_partition(args) -> int:
     examples = load_dataset(args.dataset)
     labels = [ex.label for ex in examples]
-    assignment = lda_partition(labels, PartitionSpec(args.clients, args.alpha, seed=args.seed))
+    assignment = lda_partition(labels, args.clients, args.alpha, seed=args.seed)
     write_partition_manifest(args.output, assignment)
     sizes = sorted(len(p) for p in assignment)
     print(f"wrote manifest for {args.clients} clients to {args.output} (sizes {sizes[0]}..{sizes[-1]})")
@@ -162,7 +149,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--samples must be comma-separated integers, got {args.samples!r}") from None
             return cmd_attention(args.checkpoint, args.dataset, ids, args.output)
         if args.command == "inspect-checkpoint":
-            return cmd_inspect(args.checkpoint)
+            print(describe_checkpoint(args.checkpoint))
+            return 0
         if args.command == "gen-data":
             return cmd_gen_data(args)
         if args.command == "partition":

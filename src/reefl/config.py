@@ -113,13 +113,8 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        try:
-            model = self.model_config()
-            self.train_config()
-        except ConfigError:
-            raise
-        except Exception as exc:  # bad derived value
-            raise ConfigError(str(exc)) from exc
+        model = self.model_config()
+        self.train_config()
         if self["data.source"] not in ("synthetic", "file"):
             raise ConfigError(f"data.source must be 'synthetic' or 'file', got {self['data.source']!r}")
         if self["data.source"] == "file" and not self["data.path"]:
@@ -145,8 +140,6 @@ class ExperimentConfig:
             raise ConfigError("data.split_ratio must be in (0, 1)")
         if self["data.alpha"] <= 0:
             raise ConfigError("data.alpha must be positive")
-        if model.image_size < model.patch_size:
-            raise ConfigError("image smaller than one patch")
 
     def resolved_text(self) -> str:
         lines = [f"{key}={_format_value(self.values[key])}" for key in sorted(self.values)]
@@ -177,6 +170,8 @@ def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentCon
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

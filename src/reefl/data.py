@@ -29,19 +29,6 @@ class Example:
     label: int
 
 
-@dataclass
-class PartitionSpec:
-    num_clients: int
-    alpha: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigError("need at least one client")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ConfigError(f"Dirichlet concentration must be positive and finite, got {self.alpha}")
-
-
 def _quantize(pixels: np.ndarray) -> np.ndarray:
     return (np.round(np.clip(pixels, 0.0, 1.0) * 255.0) / 255.0).astype(np.float32)
 
@@ -87,29 +74,33 @@ def _assign_by_proportions(class_indices, proportions, rng) -> list[list[int]]:
     return out
 
 
-def lda_partition(labels, spec: PartitionSpec) -> list[list[int]]:
-    """Split example indices across clients with label-Dirichlet skew.
+def lda_partition(labels, num_clients: int, alpha: float, seed: int = 0) -> list[list[int]]:
+    """Split example indices across ``num_clients`` clients with label-Dirichlet skew.
 
     Every index is assigned exactly once. Clients that come out empty have
     their proportion vector redrawn (bounded retries).
     """
+    if num_clients < 1:
+        raise ConfigError("need at least one client")
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ConfigError(f"Dirichlet concentration must be positive and finite, got {alpha}")
     labels = np.asarray(labels)
     n = len(labels)
-    if n < spec.num_clients:
-        raise PartitionError(f"{n} examples cannot cover {spec.num_clients} clients")
+    if n < num_clients:
+        raise PartitionError(f"{n} examples cannot cover {num_clients} clients")
     num_classes = int(labels.max()) + 1
     class_indices = [np.where(labels == k)[0] for k in range(num_classes)]
-    rng = np.random.default_rng(spec.seed)
-    proportions = rng.dirichlet(spec.alpha * np.ones(num_classes), size=spec.num_clients)
+    rng = np.random.default_rng(seed)
+    proportions = rng.dirichlet(alpha * np.ones(num_classes), size=num_clients)
     for _ in range(MAX_PARTITION_RETRIES):
         assignment = _assign_by_proportions(class_indices, proportions, rng)
         empty = [c for c, idx in enumerate(assignment) if not idx]
         if not empty:
             return assignment
-        proportions[empty] = rng.dirichlet(spec.alpha * np.ones(num_classes), size=len(empty))
+        proportions[empty] = rng.dirichlet(alpha * np.ones(num_classes), size=len(empty))
     raise PartitionError(
-        f"could not give every one of {spec.num_clients} clients an example "
-        f"after {MAX_PARTITION_RETRIES} redraws (alpha={spec.alpha})"
+        f"could not give every one of {num_clients} clients an example "
+        f"after {MAX_PARTITION_RETRIES} redraws (alpha={alpha})"
     )
 
 
@@ -125,13 +116,6 @@ def split_train_test(examples: list, ratio: float, rng: np.random.Generator):
     train = [examples[i] for i in order[:train_size]]
     test = [examples[i] for i in order[train_size:]]
     return train, test
-
-
-def label_histogram(examples: list, num_classes: int) -> np.ndarray:
-    hist = np.zeros(num_classes, dtype=np.int64)
-    for ex in examples:
-        hist[ex.label] += 1
-    return hist
 
 
 def label_entropy(counts: np.ndarray) -> float:
@@ -177,17 +161,16 @@ def load_dataset(path) -> list[Example]:
         raise FormatError(
             f"truncated at offset {len(blob)}: expected {expected} bytes total, got {len(blob)}"
         )
-    examples = []
-    for _ in range(n):
-        (label,) = _LABEL.unpack_from(blob, offset)
-        if not 0 <= label < num_classes:
-            raise FormatError(f"label {label} >= {num_classes} classes at offset {offset}")
-        offset += _LABEL.size
-        pixels = np.frombuffer(blob, dtype=np.uint8, count=c * h * w, offset=offset)
-        offset += c * h * w
-        image = (pixels.astype(np.float32) / 255.0).reshape(c, h, w)
-        examples.append(Example(image=image, label=label))
-    return examples
+    records = np.frombuffer(
+        blob, dtype=[("label", "<i4"), ("pixels", np.uint8, (c, h, w))], count=n, offset=offset
+    )
+    labels = records["label"]
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        i = bad[0]
+        raise FormatError(f"label {labels[i]} >= {num_classes} classes at offset {offset + i * record}")
+    images = records["pixels"].astype(np.float32) / 255.0
+    return [Example(image=image, label=int(label)) for image, label in zip(images, labels)]
 
 
 def write_partition_manifest(path, assignment: list[list[int]]) -> None:

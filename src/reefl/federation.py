@@ -17,15 +17,8 @@ import numpy as np
 
 from .backbone import MLP_RATIO, ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
-from .data import (
-    Example,
-    PartitionSpec,
-    lda_partition,
-    load_dataset,
-    split_train_test,
-    synth_dataset,
-)
-from .errors import AggregationError, BudgetError, ConfigError, InputError
+from .data import Example, lda_partition, load_dataset, split_train_test, synth_dataset
+from .errors import AggregationError, BudgetError, ConfigError, DivergenceError, InputError, NonFiniteError
 from .numerics import Tensor, no_grad
 from .ree import forward_with_exits, init_classifier, init_ree
 from .training import (
@@ -77,7 +70,6 @@ class RoundReport:
     sampled: list
     exit_accuracy: Optional[np.ndarray]
     mean_accuracy: Optional[float]
-    client_losses: dict
     train_loss_mean: float
     bytes_up: int
     bytes_down: int
@@ -283,8 +275,7 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
 
     labels = [ex.label for ex in examples]
     partition_seed = int(np.random.SeedSequence([seed, _D_PARTITION]).generate_state(1)[0])
-    spec = PartitionSpec(cfg["federation.num_clients"], cfg["data.alpha"], seed=partition_seed)
-    assignment = lda_partition(labels, spec)
+    assignment = lda_partition(labels, cfg["federation.num_clients"], cfg["data.alpha"], seed=partition_seed)
 
     config = cfg.model_config()
     budgets = assign_budgets(cfg["federation.num_clients"], config.exit_blocks)
@@ -306,8 +297,6 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     pool = [c.id for c in state.clients]
     if cfg["federation.exclude_underbudget"]:
         pool = [cid for cid in pool if state.clients[cid].budget == depth]
-        if not pool:
-            raise ConfigError("exclude_underbudget left no eligible clients")
     sampled = sample_clients(pool, cfg["federation.sample_fraction"], rng_for(seed, _D_SAMPLE, round_t))
 
     modulation = cfg["schedule.modulation_enabled"]
@@ -325,17 +314,20 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     accuracy = None
     mean_acc = None
     if round_t % cfg["federation.eval_interval"] == 0:
-        accuracy = evaluate(state.model, state.test_set, modulation=modulation)
+        try:
+            accuracy = evaluate(state.model, state.test_set, modulation=modulation)
+        except NonFiniteError as exc:
+            raise DivergenceError(
+                f"non-finite output evaluating the global model after round {round_t}"
+            ) from exc
         mean_acc = float(accuracy.mean())
 
-    client_losses = {cid: state.clients[cid].last_train_loss for cid in sampled}
     return RoundReport(
         round_index=round_t,
         sampled=sampled,
         exit_accuracy=accuracy,
         mean_accuracy=mean_acc,
-        client_losses=client_losses,
-        train_loss_mean=float(np.mean(list(client_losses.values()))),
+        train_loss_mean=float(np.mean([state.clients[cid].last_train_loss for cid in sampled])),
         bytes_up=bytes_moved,
         bytes_down=bytes_moved,
         eta=eta_schedule(round_t, train_cfg),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -188,22 +187,14 @@ def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> For
     return trace
 
 
-@dataclass
-class AttnMaps:
-    """Mean-over-heads first-row attention (self entry removed), length n."""
-
-    query_x: np.ndarray
-    query_m: Optional[np.ndarray]
-    query_c: Optional[np.ndarray]
-
-
-def attention_maps(trace: ForwardTrace, block: int, view) -> AttnMaps:
+def attention_maps(trace: ForwardTrace, block: int, view) -> dict[str, np.ndarray]:
     """Diagnostic attention of block ``block`` under three query tokens.
 
-    Queries: the previous class token, the modulated class token, and the
-    classifier input (modulated meta + class token). Keys are always the
-    previous block's patch tokens; the first row of the resulting map is
-    returned without its self entry, averaged over heads.
+    Queries: ``"x"`` the previous class token, ``"m"`` the modulated class
+    token and ``"c"`` the classifier input (modulated meta + class token);
+    ``"m"`` and ``"c"`` are present only where the shared block ran. Keys
+    are always the previous block's patch tokens; each map is the first row
+    of the attention without its self entry, averaged over heads, [B,n].
     """
     if not 1 <= block < len(trace.activations):
         raise IndexError(f"block {block} was not executed")
@@ -219,12 +210,9 @@ def attention_maps(trace: ForwardTrace, block: int, view) -> AttnMaps:
         return attn.data[:, :, 0, 1:].mean(axis=1)
 
     with no_grad():
-        qx = attend(prev.select(1, 0))
+        maps = {"x": attend(prev.select(1, 0))}
         if block in trace.modulated:
             m0, m_last = trace.modulated[block]
-            zcls = trace.activations[block].select(1, 0)
-            qm = attend(m_last)
-            qc = attend(m0 + zcls)
-        else:
-            qm = qc = None
-    return AttnMaps(query_x=qx, query_m=qm, query_c=qc)
+            maps["m"] = attend(m_last)
+            maps["c"] = attend(m0 + trace.activations[block].select(1, 0))
+    return maps

@@ -90,13 +90,12 @@ def kd_loss(trace: ForwardTrace, teacher: int, tau: float, detach_teacher: bool 
 
     Sum over non-teacher exits and batch samples of the KL between the
     tempered teacher and student softmaxes, scaled by tau^2 and averaged
-    over the batch. Returns (loss, degenerate); degenerate means fewer than
-    two exits, with a zero loss.
+    over the batch. Fewer than two exits give a zero loss.
     """
     logits = trace.exit_logits
     if len(logits) < 2:
         dtype = logits[0].dtype if logits else np.float32
-        return Tensor(np.zeros((), dtype=dtype)), True
+        return Tensor(np.zeros((), dtype=dtype))
     if not 0 <= teacher < len(logits):
         raise TraceError(f"teacher index {teacher} outside {len(logits)} exits")
 
@@ -113,7 +112,7 @@ def kd_loss(trace: ForwardTrace, teacher: int, tau: float, detach_teacher: bool 
         s_logprobs = log_softmax(student * inv_tau)
         term = tsum(t_probs * (t_logprobs - s_logprobs))
         total = term if total is None else total + term
-    return total * (tau * tau / batch), False
+    return total * (tau * tau / batch)
 
 
 def eta_schedule(round_t: int, cfg: TrainConfig) -> float:
@@ -197,9 +196,7 @@ def local_train(
                     total = total + ce
                 if cfg.kd_enabled and len(ces) >= 2:
                     teacher = select_teacher(client.estimate)
-                    kd, degenerate = kd_loss(trace, teacher, cfg.tau)
-                    if not degenerate:
-                        total = total + kd * eta
+                    total = total + kd_loss(trace, teacher, cfg.tau) * eta
                 # Block outputs that only the trace still holds die here,
                 # before backward starts.
                 del trace

@@ -19,7 +19,7 @@ import reefl
 from conftest import make_view
 from reefl.backbone import ModelConfig
 from reefl.config import parse_config
-from reefl.data import PartitionSpec, label_entropy, lda_partition
+from reefl.data import label_entropy, lda_partition
 from reefl.federation import (
     aggregate,
     build_server,
@@ -138,8 +138,7 @@ def test_criterion_1_gradient_integrity():
         trace = forward_with_exits(view, images)
         ces = exit_ce_losses(trace, labels, expected=2)
         total = ces[0] + ces[1]
-        kd, degenerate = kd_loss(trace, teacher=0, tau=2.0, detach_teacher=False)
-        assert not degenerate
+        kd = kd_loss(trace, teacher=0, tau=2.0, detach_teacher=False)
         return total + kd * eta
 
     params = all_named_tensors(view)
@@ -165,12 +164,12 @@ def test_criterion_2_kd_oracle_equivalence():
             logit_sets = [rng.standard_normal((batch, k)) * 3 for _ in range(n_exits)]
             teacher = int(rng.integers(n_exits))
             trace_like = _trace_from(logit_sets)
-            got = kd_loss(trace_like, teacher, tau)[0].item()
+            got = kd_loss(trace_like, teacher, tau).item()
             want = _scalar_kd(logit_sets[teacher], [s for e, s in enumerate(logit_sets) if e != teacher], tau)
             worst = max(worst, abs(got - want))
             cases += 1
     same = rng.standard_normal((3, 6))
-    identical = kd_loss(_trace_from([same, same.copy(), same.copy()]), 1, 1.0)[0].item()
+    identical = kd_loss(_trace_from([same, same.copy(), same.copy()]), 1, 1.0).item()
     _report(
         "criterion 2 (KD oracle equivalence)",
         cases == 50 and worst < 1e-8 and identical == 0.0,
@@ -477,7 +476,7 @@ def test_criterion_10_partition_statistics():
         vals = []
         for seed in range(20):
             labels = np.repeat(np.arange(4), 100)
-            for part in lda_partition(labels, PartitionSpec(10, alpha, seed=seed)):
+            for part in lda_partition(labels, 10, alpha, seed=seed):
                 counts = np.bincount([labels[i] for i in part], minlength=4)
                 vals.append(label_entropy(counts))
         means.append(float(np.mean(vals)))
@@ -490,7 +489,7 @@ def test_criterion_10_partition_statistics():
         labels = rng.integers(0, k, size=int(rng.integers(30, 200)))
         clients = int(rng.integers(2, 10))
         alpha = float(10 ** rng.uniform(-1.5, 3))
-        parts = lda_partition(labels, PartitionSpec(clients, alpha, seed=trial))
+        parts = lda_partition(labels, clients, alpha, seed=trial)
         flat = sorted(i for p in parts for i in p)
         ok &= flat == list(range(len(labels)))
     _report(

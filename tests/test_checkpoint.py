@@ -42,7 +42,7 @@ def test_checkpoint_header_follows_config_fields(tmp_path):
     cfg = ModelConfig(depth=4, dim=8, heads=2, patch_size=4, num_classes=4, image_size=8,
                       image_channels=3, exit_blocks=(1, 3, 4), ree_everywhere=False)
     model = init_global_model(cfg, np.random.default_rng(7))
-    assert _model_config_blob(model) == (
+    assert _model_config_blob(model.config) == (
         "depth=4\ndim=8\nheads=2\npatch_size=4\nnum_classes=4\nimage_size=8\n"
         "image_channels=3\nexit_blocks=1,3,4\nree_everywhere=0"
     )
@@ -100,7 +100,7 @@ def test_checkpoint_bytes_match_golden_digest(tmp_path):
 def write_raw_checkpoint(path, model, tensors):
     """A checkpoint of ``model``'s config blob holding exactly ``tensors``."""
     u32 = struct.Struct("<I").pack
-    blob = _model_config_blob(model).encode()
+    blob = _model_config_blob(model.config).encode()
     out = [CHECKPOINT_MAGIC, u32(CHECKPOINT_VERSION), u32(len(blob)), blob]
     for name, data in tensors.items():
         data = np.asarray(data, dtype="<f4")

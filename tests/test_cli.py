@@ -198,8 +198,13 @@ def test_gen_data_and_partition(tmp_path):
 
 
 def run_cli(*args):
-    """Run the CLI in a fresh interpreter, as a user would."""
-    env = dict(os.environ, PYTHONPATH=str(Path(reefl.__file__).resolve().parents[1]))
+    """Run the CLI in a fresh interpreter, as a user would; a numpy
+    RuntimeWarning there is an error, as it is in this test process."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(reefl.__file__).resolve().parents[1]),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     return subprocess.run(
         [sys.executable, "-m", "reefl.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
@@ -207,10 +212,10 @@ def run_cli(*args):
 
 
 def assert_clean_failure(proc, code, message):
+    """Exit ``code``, and stderr is exactly one ``error:`` line holding ``message``."""
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and message in errors[0], proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], proc.stderr
 
 
 def checkpoint_header(blob: bytes) -> bytes:
@@ -256,6 +261,14 @@ def test_removed_keys_are_rejected(tmp_path, key):
     out = tmp_path / "out"
     proc = run_cli("run", "--config", str(path), f"--output_dir={out}")
     assert_clean_failure(proc, 2, f"unknown config key {key!r}")
+    assert not out.exists()
+
+
+def test_run_missing_config_exit_2(tmp_path):
+    path = tmp_path / "missing.cfg"
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(path), f"--output_dir={out}")
+    assert_clean_failure(proc, 2, f"cannot read config file {path}: No such file or directory")
     assert not out.exists()
 
 
@@ -313,12 +326,20 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
     ("train.lr0=nan", "bad value for 'train.lr0' (override): nan is not finite"),
     ("data.alpha=nan", "bad value for 'data.alpha' (override): nan is not finite"),
     ("train.clip=inf", "bad value for 'train.clip' (override): inf is not finite"),
+    ("data.image_size=0", "image_size must be >= 1, got 0"),
 ])
 def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     out = tmp_path / "out"
     proc = run_cli(*tiny_args(out), f"--{override}")
     assert_clean_failure(proc, 2, message)
     assert not out.exists()
+
+
+def test_run_divergence_found_by_evaluation_exit_1(tmp_path):
+    # lr0=1e30 drives the weights past what a float32 forward can hold
+    # after the first step; the first evaluation is what meets it.
+    proc = run_cli(*tiny_args(tmp_path / "out"), "--train.lr0=1e30")
+    assert_clean_failure(proc, 1, "non-finite output evaluating the global model after round 1")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -364,6 +385,29 @@ def test_run_file_dataset_of_other_channels_exit_1_no_output(tmp_path):
     out = tmp_path / "out"
     proc = run_cli(*tiny_args(out, **{"data.source": "file", "data.path": ds}))
     assert_clean_failure(proc, 1, "dataset images have [C,H,W] shape (3, 8, 8), but the model expects (1, 8, 8)")
+    assert not out.exists()
+
+
+def test_run_file_dataset_with_more_classes_than_model_exit_2(tmp_path):
+    ds = tmp_path / "six.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "6", "--per-class", "8", "--image-size", "8"]) == 0
+    out = tmp_path / "out"
+    proc = run_cli(*tiny_args(out, **{"data.source": "file", "data.path": ds, "model.num_classes": 4}))
+    assert_clean_failure(proc, 2, "dataset has 6 classes but model.num_classes=4")
+    assert not out.exists()
+
+
+def test_run_file_dataset_bad_label_exit_1(tmp_path):
+    ds = tmp_path / "toy.ds"
+    assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "8", "--image-size", "8"]) == 0
+    blob = bytearray(ds.read_bytes())
+    record = 4 + 8 * 8  # label, then the pixels
+    at = 8 + 20 + 2 * record  # the third record, after magic and header
+    blob[at] = 9
+    ds.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    proc = run_cli(*tiny_args(out, **{"data.source": "file", "data.path": ds}))
+    assert_clean_failure(proc, 1, f"label 9 >= 4 classes at offset {at}")
     assert not out.exists()
 
 

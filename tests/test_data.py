@@ -3,9 +3,7 @@ import pytest
 
 from reefl.data import (
     Example,
-    PartitionSpec,
     label_entropy,
-    label_histogram,
     lda_partition,
     load_dataset,
     save_dataset,
@@ -23,7 +21,7 @@ def labels_of(examples):
 def test_synth_counts_per_label():
     data = synth_dataset(4, 100, image_size=8, rng=np.random.default_rng(0))
     assert len(data) == 400
-    hist = label_histogram(data, 4)
+    hist = np.bincount(labels_of(data), minlength=4)
     np.testing.assert_array_equal(hist, 100)
 
 
@@ -92,9 +90,9 @@ def test_partition_exhaustive_and_disjoint():
     for trial in range(25):
         n_classes = int(rng.integers(2, 6))
         labels = rng.integers(0, n_classes, size=int(rng.integers(50, 300)))
-        spec = PartitionSpec(int(rng.integers(2, 12)), float(rng.uniform(0.05, 50)), seed=trial)
-        parts = lda_partition(labels, spec)
-        assert len(parts) == spec.num_clients
+        num_clients, alpha = int(rng.integers(2, 12)), float(rng.uniform(0.05, 50))
+        parts = lda_partition(labels, num_clients, alpha, seed=trial)
+        assert len(parts) == num_clients
         flat = sorted(i for p in parts for i in p)
         assert flat == list(range(len(labels)))
         assert all(len(p) >= 1 for p in parts)
@@ -104,9 +102,9 @@ def test_partition_near_iid_at_high_alpha():
     per_client_dev = []
     for seed in range(10):
         labels = np.repeat(np.arange(4), 200)
-        parts = lda_partition(labels, PartitionSpec(10, 1000.0, seed=seed))
+        parts = lda_partition(labels, 10, 1000.0, seed=seed)
         for p in parts:
-            hist = label_histogram([Example(None, int(labels[i])) for i in p], 4)
+            hist = np.bincount([labels[i] for i in p], minlength=4)
             expected = len(p) / 4
             per_client_dev.append(np.abs(hist - expected).max() / expected)
     assert float(np.mean(per_client_dev)) < 0.2
@@ -116,9 +114,9 @@ def test_partition_highly_skewed_at_low_alpha():
     shares = []
     for seed in range(20):
         labels = np.repeat(np.arange(4), 100)
-        parts = lda_partition(labels, PartitionSpec(10, 0.01, seed=seed))
+        parts = lda_partition(labels, 10, 0.01, seed=seed)
         for p in parts:
-            hist = label_histogram([Example(None, int(labels[i])) for i in p], 4)
+            hist = np.bincount([labels[i] for i in p], minlength=4)
             shares.append(hist.max() / hist.sum())
     assert float(np.median(shares)) > 0.9
 
@@ -129,9 +127,9 @@ def test_partition_entropy_monotone_in_alpha():
         vals = []
         for seed in range(20):
             labels = np.repeat(np.arange(4), 100)
-            parts = lda_partition(labels, PartitionSpec(10, alpha, seed=seed))
+            parts = lda_partition(labels, 10, alpha, seed=seed)
             for p in parts:
-                hist = label_histogram([Example(None, int(labels[i])) for i in p], 4)
+                hist = np.bincount([labels[i] for i in p], minlength=4)
                 vals.append(label_entropy(hist))
         means.append(float(np.mean(vals)))
     assert means[0] <= means[1] <= means[2]
@@ -139,14 +137,14 @@ def test_partition_entropy_monotone_in_alpha():
 
 def test_partition_rejects_too_few_examples():
     with pytest.raises(PartitionError):
-        lda_partition(np.array([0, 1]), PartitionSpec(3, 1.0))
+        lda_partition(np.array([0, 1]), 3, 1.0)
 
 
 def test_partition_spec_validation():
     with pytest.raises(ConfigError):
-        PartitionSpec(0, 1.0)
+        lda_partition(np.array([0, 1]), 0, 1.0)
     with pytest.raises(ConfigError):
-        PartitionSpec(2, 0.0)
+        lda_partition(np.array([0, 1]), 2, 0.0)
 
 
 # -- split ----------------------------------------------------------------------

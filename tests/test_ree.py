@@ -276,7 +276,8 @@ def test_attention_maps_match_direct_recompute():
     trace = forward_with_exits(view, imgs)
     maps = attention_maps(trace, 2, view)
     n = view.config.num_patches
-    for arr in (maps.query_x, maps.query_m, maps.query_c):
+    assert list(maps) == ["x", "m", "c"]
+    for arr in maps.values():
         assert arr.shape == (2, n)
         assert (arr >= 0).all() and (arr <= 1).all()
         assert (arr.sum(axis=1) <= 1.0 + 1e-6).all()
@@ -287,7 +288,7 @@ def test_attention_maps_match_direct_recompute():
     normed = layer_norm(seq, blk["block2.ln1_gamma"], blk["block2.ln1_beta"])
     _, attn = msa_forward(normed, normed, blk, "block2.", view.config.heads)
     want = attn.data[:, :, 0, 1:].mean(axis=1)
-    np.testing.assert_allclose(maps.query_x, want, atol=1e-6)
+    np.testing.assert_allclose(maps["x"], want, atol=1e-6)
 
 
 def test_attention_maps_single_head_mean_is_identity():
@@ -301,7 +302,7 @@ def test_attention_maps_single_head_mean_is_identity():
     normed = layer_norm(seq, blk["block1.ln1_gamma"], blk["block1.ln1_beta"])
     _, direct = msa_forward(normed, normed, blk, "block1.", 1)
     assert direct.shape[1] == 1
-    np.testing.assert_allclose(maps.query_x, direct.data[:, 0, 0, 1:], atol=1e-6)
+    np.testing.assert_allclose(maps["x"], direct.data[:, 0, 0, 1:], atol=1e-6)
 
 
 def test_attention_maps_block_not_executed():
@@ -315,9 +316,9 @@ def test_exit_only_mode_maps_missing_off_exit():
     view = make_view(depth=4, exit_blocks=(2, 4), ree_everywhere=False, seed=31)
     trace = forward_with_exits(view, batch(np.random.default_rng(32)))
     maps = attention_maps(trace, 1, view)
-    assert maps.query_m is None and maps.query_c is None
+    assert "m" not in maps and "c" not in maps
     maps2 = attention_maps(trace, 2, view)
-    assert maps2.query_m is not None and maps2.query_c is not None
+    assert "m" in maps2 and "c" in maps2
 
 
 def test_end_to_end_exit_loss_grad():

@@ -155,15 +155,14 @@ def test_select_teacher_argmin_and_ties():
 
 def test_kd_identical_logits_is_zero():
     logits = np.random.default_rng(1).standard_normal((4, 5))
-    loss, degenerate = kd_loss(trace_with_logits(logits, logits.copy()), 0, tau=1.0)
-    assert not degenerate
+    loss = kd_loss(trace_with_logits(logits, logits.copy()), 0, tau=1.0)
     assert abs(loss.item()) < 1e-12
 
 
 def test_kd_worked_example():
     teacher = np.array([[math.log(3.0), 0.0]])
     student = np.array([[0.0, 0.0]])
-    loss, _ = kd_loss(trace_with_logits(teacher, student), 0, tau=1.0)
+    loss = kd_loss(trace_with_logits(teacher, student), 0, tau=1.0)
     want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
     assert abs(loss.item() - want) < 1e-12
 
@@ -173,13 +172,13 @@ def test_kd_matches_scalar_oracle_with_temperature():
     for tau in (0.5, 1.0, 2.0, 3.0):
         t = rng.standard_normal((3, 6))
         s1, s2 = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-        loss, _ = kd_loss(trace_with_logits(s1, t, s2), 1, tau=tau)
+        loss = kd_loss(trace_with_logits(s1, t, s2), 1, tau=tau)
         assert abs(loss.item() - scalar_kd_oracle(t, [s1, s2], tau)) < 1e-10
 
 
 def test_kd_degenerate_single_exit():
-    loss, degenerate = kd_loss(trace_with_logits(np.zeros((2, 3))), 0, tau=1.0)
-    assert degenerate and loss.item() == 0.0
+    loss = kd_loss(trace_with_logits(np.zeros((2, 3))), 0, tau=1.0)
+    assert loss.item() == 0.0
 
 
 def test_kd_teacher_gets_no_gradient():
@@ -188,7 +187,7 @@ def test_kd_teacher_gets_no_gradient():
     teacher_t, student_t = trace.exit_logits
     teacher_t.requires_grad = True
     student_t.requires_grad = True
-    loss, _ = kd_loss(trace, 0, tau=1.0, detach_teacher=True)
+    loss = kd_loss(trace, 0, tau=1.0, detach_teacher=True)
     loss.backward()
     assert teacher_t.grad is None
     assert student_t.grad is not None and np.abs(student_t.grad).max() > 0
@@ -199,7 +198,7 @@ def test_kd_teacher_grad_flag_flips_detachment():
     trace = trace_with_logits(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
     teacher_t = trace.exit_logits[0]
     teacher_t.requires_grad = True
-    loss, _ = kd_loss(trace, 0, tau=1.0, detach_teacher=False)
+    loss = kd_loss(trace, 0, tau=1.0, detach_teacher=False)
     loss.backward()
     assert teacher_t.grad is not None
 
@@ -212,7 +211,7 @@ def test_kd_gradient_matches_fd_on_two_exit_toy():
     def loss():
         trace = trace_with_logits(t_const)
         trace.exit_logits.append(s)
-        return kd_loss(trace, 0, tau=2.0)[0]
+        return kd_loss(trace, 0, tau=2.0)
 
     report = grad_check(loss, {"student": s})
     assert report.passed, report
@@ -330,7 +329,7 @@ def test_local_train_updates_running_estimate_and_loss_decomposition():
     trace = forward_with_exits(view2, images)
     ces = exit_ce_losses(trace, labels)
     est = update_running_estimate(None, [c.item() for c in ces], cfg.zeta)
-    kd, _ = kd_loss(trace, select_teacher(est), cfg.tau)
+    kd = kd_loss(trace, select_teacher(est), cfg.tau)
     want = sum(c.item() for c in ces) + eta_schedule(2, cfg) * kd.item()
     assert abs(client.last_train_loss - want) < 1e-6
 
