@@ -4,12 +4,15 @@ Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
 Config values come from an optional key=value file plus ``--key=value``
 overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
 config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
-failure prints one ``error:`` line.
+failure prints one ``error:`` line. ``run`` splits every evaluation with
+one helper process (``evalhelper``) when it has a second CPU, at least two
+evaluations and at least two test batches; its outputs are the same bits.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from .checkpoint import describe_checkpoint, load_checkpoint, save_checkpoint
 from .config import REGISTRY, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
 from .errors import ConfigError, InputError, ReeflError
-from .federation import build_server, run_rounds, write_metrics_csv
+from .evalhelper import EvalHelper
+from .federation import build_server, run_rounds, wants_eval_helper, write_metrics_csv
 from .ree import attention_maps, forward_with_exits
 
 
@@ -44,7 +48,7 @@ def cmd_run(config_path, overrides) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(cfg.resolved_text())
     # Every op's finite guard reports a fault as a typed error; numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"), EvalHelper.started(wants_eval_helper(state)) as state.eval_helper:
         reports = run_rounds(state)
     write_metrics_csv(out_dir / "metrics.csv", reports, state.model.config.num_exits)
     save_checkpoint(out_dir / "checkpoint.ckpt", state.model)
@@ -61,15 +65,16 @@ def cmd_attention(checkpoint_path, dataset_path, sample_ids, output) -> int:
     model = load_checkpoint(checkpoint_path)
     examples = load_dataset(dataset_path)
     rows = []
-    for sid in sample_ids:
-        if not 0 <= sid < len(examples):
-            raise InputError(f"sample id {sid} outside dataset of {len(examples)} examples")
-        image = examples[sid].image[None]
-        trace = forward_with_exits(model, image, modulation=True)
-        for block in range(1, model.config.depth + 1):
-            for variant, arr in attention_maps(trace, block, model).items():
-                for token_index, weight in enumerate(arr[0]):
-                    rows.append((sid, block, variant, token_index, f"{weight:.8f}"))
+    with np.errstate(all="ignore"):  # as in ``cmd_run``
+        for sid in sample_ids:
+            if not 0 <= sid < len(examples):
+                raise InputError(f"sample id {sid} outside dataset of {len(examples)} examples")
+            image = examples[sid].image[None]
+            trace = forward_with_exits(model, image, modulation=True)
+            for block in range(1, model.config.depth + 1):
+                for variant, arr in attention_maps(trace, block, model).items():
+                    for token_index, weight in enumerate(arr[0]):
+                        rows.append((sid, block, variant, token_index, f"{weight:.8f}"))
     with open(output, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "block", "variant", "token_index", "weight"])
@@ -136,32 +141,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status, as the module docstring
+    says; when stdout's reader has gone (``reefl inspect-checkpoint CKPT |
+    head``), the status is 1 and nothing is written to stderr."""
     raw = list(sys.argv[1:] if argv is None else argv)
     overrides, rest = _split_overrides(raw)
     args = build_parser().parse_args(rest)
     try:
         if args.command == "run":
-            return cmd_run(args.config, overrides)
-        if args.command == "attention":
+            code = cmd_run(args.config, overrides)
+        elif args.command == "attention":
             try:
                 ids = [int(s) for s in args.samples.split(",") if s.strip()]
             except ValueError:
                 raise ConfigError(f"--samples must be comma-separated integers, got {args.samples!r}") from None
-            return cmd_attention(args.checkpoint, args.dataset, ids, args.output)
-        if args.command == "inspect-checkpoint":
+            code = cmd_attention(args.checkpoint, args.dataset, ids, args.output)
+        elif args.command == "inspect-checkpoint":
             print(describe_checkpoint(args.checkpoint))
-            return 0
-        if args.command == "gen-data":
-            return cmd_gen_data(args)
-        if args.command == "partition":
-            return cmd_partition(args)
+            code = 0
+        elif args.command == "gen-data":
+            code = cmd_gen_data(args)
+        else:
+            code = cmd_partition(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside this handler, not at exit
+        return code
+    except BrokenPipeError:
+        # Output that is still buffered goes nowhere, so exiting cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ReeflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

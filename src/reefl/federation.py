@@ -6,10 +6,17 @@ samples clients, hands every one a copy of the names its budget covers
 another, each on its private parameter copy and private RNG stream, then
 averages every returned name, weighted by the sample count of exactly the
 clients whose budget covers it.
+
+Evaluation scores every exit of the global model on the pooled test set.
+When ``reefl run`` has started an evaluation helper process (see
+``wants_eval_helper``), each evaluation splits its test batches with it;
+direct calls of ``evaluate``, ``run_round`` and ``run_rounds`` run in this
+process.
 """
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,8 +26,9 @@ from .backbone import MLP_RATIO, ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
 from .data import Example, lda_partition, load_dataset, split_train_test, synth_dataset
 from .errors import AggregationError, BudgetError, ConfigError, DivergenceError, InputError, NonFiniteError
-from .numerics import Tensor, no_grad
-from .ree import forward_with_exits, init_classifier, init_ree
+from .evalhelper import EvalHelper
+from .numerics import Tensor
+from .ree import count_correct, init_classifier, init_ree
 from .training import (
     MODE_FROZEN,
     MODE_FULL,
@@ -206,6 +214,7 @@ def evaluate(
     test_set: list,
     modulation: bool = True,
     batch_size: int | None = None,
+    helper: Optional[EvalHelper] = None,
 ) -> np.ndarray:
     """Top-1 accuracy of every exit over the full test set, full depth.
 
@@ -215,22 +224,29 @@ def evaluate(
     process's peak. Small models still get 64-sample batches, which amortise
     the per-op overhead. Accuracies do not depend on the batch size, since
     every op treats samples independently.
+
+    Given a ``helper`` that is ready, and at least two batches, the helper
+    scores the back half of the batches while this process scores the front
+    half; the batches, and so the accuracies, are the same as without it.
     """
     if not test_set:
         raise ConfigError("empty test set")
     if batch_size is None:
         batch_size = eval_batch_size(model.config, model.params["patch_embed"].dtype)
-    exits = model.config.num_exits
-    correct = np.zeros(exits, dtype=np.int64)
-    with no_grad():
-        for start in range(0, len(test_set), batch_size):
-            chunk = test_set[start : start + batch_size]
-            images = np.stack([ex.image for ex in chunk])
-            labels = np.array([ex.label for ex in chunk])
-            trace = forward_with_exits(model, images, modulation)
-            for e, logits in enumerate(trace.exit_logits):
-                correct[e] += int((np.argmax(logits.data, axis=1) == labels).sum())
+    chunks = [test_set[s : s + batch_size] for s in range(0, len(test_set), batch_size)]
+    split = (len(chunks) + 1) // 2 if helper is not None and helper.ready() else len(chunks)
+    shared = [_stacked(c) for c in chunks[split:]]
+    if shared:
+        helper.submit(model, shared, modulation)
+    correct = count_correct(model, map(_stacked, chunks[:split]), modulation)
+    if shared:
+        correct += helper.result()
     return correct / len(test_set)
+
+
+def _stacked(examples: list) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's images and labels."""
+    return np.stack([ex.image for ex in examples]), np.array([ex.label for ex in examples])
 
 
 # -- round loop ------------------------------------------------------------------
@@ -243,6 +259,19 @@ class ServerState:
     clients: list
     test_set: list
     train_cfg: TrainConfig
+    eval_helper: Optional[EvalHelper] = None  # ``run_round`` hands it to ``evaluate``
+
+
+def wants_eval_helper(state: ServerState) -> bool:
+    """Whether a helper process would pay for its start-up in this run: a
+    second CPU to run on, at least two evaluations, and at least two test
+    batches to split."""
+    cfg, model = state.cfg, state.model
+    return (
+        len(os.sched_getaffinity(0)) > 1
+        and cfg["federation.total_rounds"] // cfg["federation.eval_interval"] >= 2
+        and len(state.test_set) > eval_batch_size(model.config, model.params["patch_embed"].dtype)
+    )
 
 
 def build_server(cfg: ExperimentConfig) -> ServerState:
@@ -315,7 +344,7 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     mean_acc = None
     if round_t % cfg["federation.eval_interval"] == 0:
         try:
-            accuracy = evaluate(state.model, state.test_set, modulation=modulation)
+            accuracy = evaluate(state.model, state.test_set, modulation=modulation, helper=state.eval_helper)
         except NonFiniteError as exc:
             raise DivergenceError(
                 f"non-finite output evaluating the global model after round {round_t}"

@@ -187,6 +187,18 @@ def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> For
     return trace
 
 
+def count_correct(view, batches, modulation: bool = True) -> np.ndarray:
+    """Correct top-1 predictions of every exit, as int64 counts, over
+    ``(images, labels)`` batches run forward without a graph."""
+    correct = np.zeros(view.config.num_exits, dtype=np.int64)
+    with no_grad():
+        for images, labels in batches:
+            trace = forward_with_exits(view, images, modulation)
+            for e, logits in enumerate(trace.exit_logits):
+                correct[e] += int((np.argmax(logits.data, axis=1) == labels).sum())
+    return correct
+
+
 def attention_maps(trace: ForwardTrace, block: int, view) -> dict[str, np.ndarray]:
     """Diagnostic attention of block ``block`` under three query tokens.
 

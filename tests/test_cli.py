@@ -197,17 +197,21 @@ def test_gen_data_and_partition(tmp_path):
 # -- malformed inputs end in an error line, never a traceback -----------------------
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, as a user would; a numpy
-    RuntimeWarning there is an error, as it is in this test process."""
-    env = dict(
+def cli_env() -> dict:
+    """The environment of a CLI subprocess: this checkout's package, and a
+    numpy RuntimeWarning is an error, as it is in this test process."""
+    return dict(
         os.environ,
         PYTHONPATH=str(Path(reefl.__file__).resolve().parents[1]),
         PYTHONWARNINGS="error::RuntimeWarning",
     )
+
+
+def run_cli(*args, stdout=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter, as a user would."""
     return subprocess.run(
         [sys.executable, "-m", "reefl.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
     )
 
 
@@ -281,10 +285,10 @@ def test_run_non_utf8_config_exit_2(tmp_path):
     assert not out.exists()
 
 
-def attention_inputs(tmp_path):
+def attention_inputs(tmp_path, **extra):
     """A one-round checkpoint and a dataset for the attention command."""
     out = tmp_path / "run"
-    assert main(tiny_args(out, **{"federation.total_rounds": 1})) == 0
+    assert main(tiny_args(out, **{"federation.total_rounds": 1, **extra})) == 0
     ds = tmp_path / "toy.ds"
     assert main(["gen-data", "--output", str(ds), "--classes", "4", "--per-class", "1", "--image-size", "8"]) == 0
     return out / "checkpoint.ckpt", ds
@@ -303,6 +307,25 @@ def test_attention_misshapen_checkpoint_exit_1(tmp_path):
     proc = run_cli("attention", "--checkpoint", str(bad), "--dataset", str(ds), "--samples", "0",
                    "--output", str(tmp_path / "attn.csv"))
     assert_clean_failure(proc, 1, "tensor 'pos_embed' has shape (3, 8), expected (5, 8)")
+
+
+def test_attention_overflowing_checkpoint_exit_1(tmp_path):
+    # With no evaluation round, a diverging run writes its checkpoint and exits 0.
+    ckpt, ds = attention_inputs(tmp_path, **{"train.lr0": 1e30, "federation.eval_interval": 2})
+    proc = run_cli("attention", "--checkpoint", str(ckpt), "--dataset", str(ds), "--samples", "0",
+                   "--output", str(tmp_path / "attn.csv"))
+    assert_clean_failure(proc, 1, "operation produced NaN or Inf")
+
+
+def test_inspect_checkpoint_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    ckpt, _ = attention_inputs(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli("inspect-checkpoint", str(ckpt), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_attention_non_integer_sample_exit_2(tmp_path):
