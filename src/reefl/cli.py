@@ -4,9 +4,11 @@ Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
 Config values come from an optional key=value file plus ``--key=value``
 overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
 config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
-failure prints one ``error:`` line. ``run`` splits every evaluation with
-one helper process (``evalhelper``) when it has a second CPU, at least two
-evaluations and at least two test batches; its outputs are the same bits.
+failure prints one ``error:`` line. ``run`` shares its work with one
+helper process (``helper``) when it has a second CPU and either at least two
+evaluations of at least two test batches or at least two clients per round
+over at least three rounds: the helper trains a share of each round's
+clients and scores half of each evaluation. The outputs are the same bits.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ from .checkpoint import describe_checkpoint, load_checkpoint, save_checkpoint
 from .config import REGISTRY, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
 from .errors import ConfigError, InputError, ReeflError
-from .evalhelper import EvalHelper
-from .federation import build_server, run_rounds, wants_eval_helper, write_metrics_csv
+from .federation import build_server, run_rounds, wants_helper, write_metrics_csv
+from .helper import Helper
 from .ree import attention_maps, forward_with_exits
 
 
@@ -48,7 +50,7 @@ def cmd_run(config_path, overrides) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(cfg.resolved_text())
     # Every op's finite guard reports a fault as a typed error; numpy's warnings would only repeat it.
-    with np.errstate(all="ignore"), EvalHelper.started(wants_eval_helper(state)) as state.eval_helper:
+    with np.errstate(all="ignore"), Helper.started(wants_helper(state)) as state.helper:
         reports = run_rounds(state)
     write_metrics_csv(out_dir / "metrics.csv", reports, state.model.config.num_exits)
     save_checkpoint(out_dir / "checkpoint.ckpt", state.model)

@@ -118,14 +118,6 @@ def split_train_test(examples: list, ratio: float, rng: np.random.Generator):
     return train, test
 
 
-def label_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
 # -- on-disk format -------------------------------------------------------------
 
 

@@ -1,17 +1,18 @@
 """Server-side orchestration: budgets, sampling, slicing, aggregation, rounds.
 
 The model is one flat ``name -> Tensor`` dict (see ``Model``). Each round
-samples clients, hands every one a copy of the names its budget covers
-(blocks 1..budget plus every non-block name), trains them one after
-another, each on its private parameter copy and private RNG stream, then
-averages every returned name, weighted by the sample count of exactly the
-clients whose budget covers it.
+samples clients and trains each one on a private copy of the names its
+budget covers (blocks 1..budget plus every non-block name) and on its
+private RNG stream, then averages every returned name, weighted by the
+sample count of exactly the clients whose budget covers it, in sampled
+order.
 
 Evaluation scores every exit of the global model on the pooled test set.
-When ``reefl run`` has started an evaluation helper process (see
-``wants_eval_helper``), each evaluation splits its test batches with it;
-direct calls of ``evaluate``, ``run_round`` and ``run_rounds`` run in this
-process.
+When ``reefl run`` has started a helper process (see ``wants_helper``), each
+round hands it a budget-balanced share of its clients (``helper_share``) and
+each evaluation the back half of its test batches; the bits are the same as
+in one process. Direct calls of ``evaluate``, ``run_round`` and
+``run_rounds`` run in this process.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ import numpy as np
 from .backbone import MLP_RATIO, ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
 from .data import Example, lda_partition, load_dataset, split_train_test, synth_dataset
-from .errors import AggregationError, BudgetError, ConfigError, DivergenceError, InputError, NonFiniteError
-from .evalhelper import EvalHelper
+from .errors import (
+    AggregationError, BudgetError, ConfigError, DivergenceError, InputError, NonFiniteError, ReeflError,
+)
+from .helper import Helper
 from .numerics import Tensor
 from .ree import count_correct, init_classifier, init_ree
 from .training import (
@@ -130,11 +133,14 @@ def slice_submodel(model: Model, budget: int) -> Model:
         raise BudgetError(f"budget {budget} outside [1, {depth}]")
     if budget < first_exit:
         raise BudgetError(f"budget {budget} does not cover the first exit at block {first_exit}")
-    params = {
-        name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        for name, t in model.params.items()
-        if covering_budget(name) <= budget
-    }
+    covered = _covered(model, budget).params
+    params = {name: Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in covered.items()}
+    return Model(params, model.config, budget)
+
+
+def _covered(model: Model, budget: int) -> Model:
+    """The names ``budget`` covers, holding the global tensors, not copies."""
+    params = {name: t for name, t in model.params.items() if covering_budget(name) <= budget}
     return Model(params, model.config, budget)
 
 
@@ -214,7 +220,7 @@ def evaluate(
     test_set: list,
     modulation: bool = True,
     batch_size: int | None = None,
-    helper: Optional[EvalHelper] = None,
+    helper: Optional[Helper] = None,
 ) -> np.ndarray:
     """Top-1 accuracy of every exit over the full test set, full depth.
 
@@ -237,7 +243,8 @@ def evaluate(
     split = (len(chunks) + 1) // 2 if helper is not None and helper.ready() else len(chunks)
     shared = [_stacked(c) for c in chunks[split:]]
     if shared:
-        helper.submit(model, shared, modulation)
+        arrays = {name: t.data for name, t in model.params.items()}
+        helper.submit("evaluate", arrays, model.config, model.budget, shared, modulation)
     correct = count_correct(model, map(_stacked, chunks[:split]), modulation)
     if shared:
         correct += helper.result()
@@ -259,19 +266,42 @@ class ServerState:
     clients: list
     test_set: list
     train_cfg: TrainConfig
-    eval_helper: Optional[EvalHelper] = None  # ``run_round`` hands it to ``evaluate``
+    helper: Optional[Helper] = None  # set by ``reefl run``; see ``wants_helper``
 
 
-def wants_eval_helper(state: ServerState) -> bool:
-    """Whether a helper process would pay for its start-up in this run: a
-    second CPU to run on, at least two evaluations, and at least two test
-    batches to split."""
+def client_pool(state: ServerState) -> list[int]:
+    """The ids that each round samples from."""
+    if state.cfg["federation.exclude_underbudget"]:
+        return [c.id for c in state.clients if c.budget == state.model.config.depth]
+    return [c.id for c in state.clients]
+
+
+def wants_helper(state: ServerState) -> bool:
+    """Whether a helper process would pay for its start-up in this run, as
+    the config alone decides: a second CPU to run on, and either at least
+    two evaluations of at least two test batches each, or at least two
+    clients per round over at least three rounds (round 1 mostly runs before
+    the helper is ready)."""
     cfg, model = state.cfg, state.model
-    return (
-        len(os.sched_getaffinity(0)) > 1
-        and cfg["federation.total_rounds"] // cfg["federation.eval_interval"] >= 2
-        and len(state.test_set) > eval_batch_size(model.config, model.params["patch_embed"].dtype)
-    )
+    rounds = cfg["federation.total_rounds"]
+    batch = eval_batch_size(model.config, model.params["patch_embed"].dtype)
+    splits_evaluations = rounds // cfg["federation.eval_interval"] >= 2 and len(state.test_set) > batch
+    splits_training = rounds >= 3 and round(cfg["federation.sample_fraction"] * len(client_pool(state))) >= 2
+    return len(os.sched_getaffinity(0)) > 1 and (splits_evaluations or splits_training)
+
+
+def helper_share(clients: list) -> list[bool]:
+    """Which of ``clients`` the helper trains: longest first, by ``budget *
+    len(train)``, each goes to the side with less such work so far, ties to
+    this process. Budgets 2/4/6/8 with equal data split as 8 + 2 here
+    against 6 + 4 in the helper."""
+    load = [0, 0]
+    theirs = [False] * len(clients)
+    work = [c.budget * len(c.train) for c in clients]
+    for i in sorted(range(len(clients)), key=lambda i: -work[i]):
+        theirs[i] = load[1] < load[0]
+        load[theirs[i]] += work[i]
+    return theirs
 
 
 def build_server(cfg: ExperimentConfig) -> ServerState:
@@ -322,29 +352,50 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
 
 def run_round(state: ServerState, round_t: int) -> RoundReport:
     cfg, train_cfg = state.cfg, state.train_cfg
-    seed, depth = cfg["seed"], state.model.config.depth
-    pool = [c.id for c in state.clients]
-    if cfg["federation.exclude_underbudget"]:
-        pool = [cid for cid in pool if state.clients[cid].budget == depth]
+    seed, helper = cfg["seed"], state.helper
+    pool = client_pool(state)
     sampled = sample_clients(pool, cfg["federation.sample_fraction"], rng_for(seed, _D_SAMPLE, round_t))
-
+    clients = [state.clients[cid] for cid in sampled]
+    rngs = [rng_for(seed, _D_TRAIN, round_t, cid) for cid in sampled]
     modulation = cfg["schedule.modulation_enabled"]
-    updates = []
-    bytes_moved = 0
-    for cid in sampled:
-        client = state.clients[cid]
-        view = slice_submodel(state.model, client.budget)
-        rng = rng_for(seed, _D_TRAIN, round_t, cid)
-        params, n = local_train(client, view, train_cfg, round_t, rng, modulation=modulation)
-        updates.append((params, n * train_cfg.local_epochs, client.budget))
-        bytes_moved += comm_cost(view, train_cfg.mode)
+
+    trains = helper is not None and helper.ready() and helper.trains
+    share = [i for i, theirs in enumerate(helper_share(clients)) if theirs] if trains else []
+    if share:
+        deepest = max(clients[i].budget for i in share)
+        arrays = {name: t.data for name, t in _covered(state.model, deepest).params.items()}
+        tasks = [(c.id, c.budget, c.train, c.estimate, rngs[i]) for i, c in enumerate(clients) if i in share]
+        helper.submit("train", arrays, state.model.config, tasks, train_cfg, round_t, modulation)
+    # outcomes[i]: sampled client i's (trained tensors, sample count), or the ReeflError it raised
+    outcomes: list = [None] * len(clients)
+    for i, client in enumerate(clients):
+        if i in share:
+            continue
+        try:
+            view = slice_submodel(state.model, client.budget)
+            outcomes[i] = local_train(client, view, train_cfg, round_t, rngs[i], modulation=modulation)
+        except ReeflError as exc:
+            outcomes[i] = exc
+            break  # no later client of this share can fail first
+    if share:
+        for i, reply in zip(share, helper.result()):
+            if not isinstance(reply, ReeflError):
+                trained, n, clients[i].estimate, clients[i].last_train_loss = reply
+                reply = (trained, n)
+            outcomes[i] = reply
+    failed = [o for o in outcomes if isinstance(o, ReeflError)]
+    if failed:
+        raise failed[0]  # the error of the first failing client in sampled order, as in one process
+
+    updates = [(params, n * train_cfg.local_epochs, c.budget) for (params, n), c in zip(outcomes, clients)]
     aggregate(state.model, updates)
+    bytes_moved = sum(comm_cost(_covered(state.model, c.budget), train_cfg.mode) for c in clients)
 
     accuracy = None
     mean_acc = None
     if round_t % cfg["federation.eval_interval"] == 0:
         try:
-            accuracy = evaluate(state.model, state.test_set, modulation=modulation, helper=state.eval_helper)
+            accuracy = evaluate(state.model, state.test_set, modulation=modulation, helper=helper)
         except NonFiniteError as exc:
             raise DivergenceError(
                 f"non-finite output evaluating the global model after round {round_t}"

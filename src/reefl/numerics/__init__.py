@@ -1,4 +1,4 @@
-"""Tensor arithmetic with reverse-mode autodiff and a gradient checker."""
+"""Tensor arithmetic with reverse-mode autodiff."""
 from .tensor import (
     Tensor,
     add,
@@ -24,4 +24,3 @@ from .functional import (
     log_softmax,
     softmax,
 )
-from .gradcheck import GradCheckReport, grad_check

@@ -31,6 +31,14 @@ def make_view(
     return Model(model.params, cfg, budget if budget is not None else depth)
 
 
+def label_entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum())
+
+
 @pytest.fixture
 def view_factory():
     return make_view

@@ -6,8 +6,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..errors import NonFiniteError
-from .tensor import Tensor, no_grad
+from reefl.errors import NonFiniteError
+from reefl.numerics import Tensor, no_grad
 
 
 @dataclass

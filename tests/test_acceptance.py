@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import reefl
-from conftest import make_view
+from conftest import label_entropy, make_view
+from gradcheck import grad_check
 from reefl.backbone import ModelConfig
 from reefl.config import parse_config
-from reefl.data import label_entropy, lda_partition
+from reefl.data import lda_partition
 from reefl.federation import (
     aggregate,
     build_server,
@@ -29,7 +30,7 @@ from reefl.federation import (
     run_round,
     slice_submodel,
 )
-from reefl.numerics import Tensor, grad_check
+from reefl.numerics import Tensor
 from reefl.ree import forward_with_exits
 from reefl.training import (
     MODE_FROZEN,
@@ -422,11 +423,17 @@ def test_criterion_8_communication_invariance():
 # -- criterion 9 --------------------------------------------------------------
 
 
-def _start_criterion9_run(out_dir: Path, blas_threads: int) -> subprocess.Popen:
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _start_criterion9_run(out_dir: Path, blas_threads: int, one_cpu: bool = False) -> subprocess.Popen:
     """The criterion-7 run at seed 0 as a fresh ``reefl run`` process.
 
     BLAS reads its thread count when numpy loads, so only a new interpreter
-    (not a forked worker) runs under the given OPENBLAS_NUM_THREADS.
+    (not a forked worker) runs under the given OPENBLAS_NUM_THREADS. A run
+    pinned to ``one_cpu`` starts no helper process; on a host with more
+    CPUs, the others do.
     """
     env = dict(
         os.environ,
@@ -437,6 +444,7 @@ def _start_criterion9_run(out_dir: Path, blas_threads: int) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "reefl.cli", "run", *args],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=_pin_to_one_cpu if one_cpu else None,
     )
 
 
@@ -450,7 +458,12 @@ def test_criterion_9_determinism(tmp_path):
     pair = [_start_criterion9_run(tmp_path / name, blas_threads=2) for name in ("a", "b")]
     for proc in pair:
         _finish(proc)
-    _finish(_start_criterion9_run(tmp_path / "blas1", blas_threads=1))
+    pair = [
+        _start_criterion9_run(tmp_path / "blas1", blas_threads=1),
+        _start_criterion9_run(tmp_path / "one_cpu", blas_threads=2, one_cpu=True),
+    ]
+    for proc in pair:
+        _finish(proc)
 
     def same(x: str, y: str) -> bool:
         return all(
@@ -458,12 +471,13 @@ def test_criterion_9_determinism(tmp_path):
             for f in ("metrics.csv", "checkpoint.ckpt")
         )
 
-    rerun_equal, blas_equal = same("a", "b"), same("a", "blas1")
+    rerun_equal, blas_equal, helper_equal = same("a", "b"), same("a", "blas1"), same("a", "one_cpu")
     _report(
         "criterion 9 (determinism)",
-        rerun_equal and blas_equal,
+        rerun_equal and blas_equal and helper_equal,
         f"metrics.csv and checkpoint.ckpt byte-identical on rerun={rerun_equal}, "
-        f"at 1 vs 2 BLAS threads={blas_equal}",
+        f"at 1 vs 2 BLAS threads={blas_equal}, "
+        f"with vs without the helper process (pinned to one CPU)={helper_equal}",
     )
 
 

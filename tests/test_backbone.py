@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_view
+from gradcheck import grad_check
 from reefl.backbone import (
     ModelConfig,
     block_forward,
@@ -12,7 +13,7 @@ from reefl.backbone import (
     tokenize,
 )
 from reefl.errors import BudgetError, ConfigError, ShapeError
-from reefl.numerics import Tensor, concat, cross_entropy, grad_check, matmul, narrow, tsum
+from reefl.numerics import Tensor, concat, cross_entropy, matmul, narrow, tsum
 from reefl.ree import forward_with_exits
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import label_entropy
 from reefl.data import (
     Example,
-    label_entropy,
     lda_partition,
     load_dataset,
     save_dataset,

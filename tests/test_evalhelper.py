@@ -1,26 +1,29 @@
-"""The evaluation helper process: the same bits, typed failures, no stray processes."""
+"""The helper process: the same bits, typed failures, no stray processes."""
+import ctypes
 import os
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reefl import federation
+from reefl import helper as helper_module
 from reefl.cli import main
 from reefl.config import parse_config
 from reefl.data import Example, synth_dataset
 from reefl.errors import DivergenceError, ReeflError
-from reefl.evalhelper import EvalHelper
-from reefl.federation import build_server, eval_batch_size, evaluate, run_round
+from reefl.federation import build_server, eval_batch_size, evaluate, helper_share, run_round
+from reefl.helper import Helper
 from test_cli import TINY, cli_env
 from test_federation import small_model
 
 # TINY with 20% of the data for training: 76 test samples, two evaluation
-# batches (64 + 12), and one evaluation per round.
+# batches (64 + 12), one evaluation per round, and four clients per round.
 SHARED = {**TINY, "data.per_class": 24, "data.split_ratio": 0.2, "federation.total_rounds": 6}
 
 multi_cpu = pytest.mark.skipif(
@@ -33,7 +36,11 @@ def run_args(out_dir, **extra) -> list[str]:
     return ["run"] + [f"--{k}={v}" for k, v in kw.items()]
 
 
-def wait_ready(helper: EvalHelper) -> None:
+def shared_state():
+    return build_server(parse_config(overrides=[f"{k}={v}" for k, v in SHARED.items()]))
+
+
+def wait_ready(helper: Helper) -> None:
     deadline = time.monotonic() + 60
     while not helper.ready():
         assert time.monotonic() < deadline, "helper not ready within 60 s"
@@ -42,36 +49,51 @@ def wait_ready(helper: EvalHelper) -> None:
 
 @pytest.fixture
 def helper():
-    with EvalHelper.started(True) as started:
+    with Helper.started(True) as started:
         wait_ready(started)
         yield started
 
 
 @pytest.fixture
+def trainer(helper):
+    """A ready helper that trains clients."""
+    if not helper.trains:
+        pytest.skip("numpy's BLAS offers no thread-count setter, so the helper trains no clients")
+    return helper
+
+
+def recorded(submit, sent: dict):
+    """``submit`` that also appends to ``sent[kind]`` the batch count of
+    every evaluation task and the client count of every training task."""
+
+    def recording_submit(self, kind, *task):
+        sent[kind].append(len(task[3] if kind == "evaluate" else task[2]))
+        submit(self, kind, *task)
+
+    return recording_submit
+
+
+@pytest.fixture
 def started(monkeypatch):
-    """The helpers a test starts, and the batch count of every task sent;
+    """The helpers a test starts, and the sizes of the tasks sent, by kind;
     each round first waits until the run's helper is ready, so that every
-    evaluation of the run uses it."""
-    helpers, submits = [], []
-    init, submit, run = EvalHelper.__init__, EvalHelper.submit, federation.run_round
+    round of the run uses it."""
+    helpers, sent = [], {"train": [], "evaluate": []}
+    init, run = Helper.__init__, federation.run_round
 
     def recording_init(self):
         init(self)
         helpers.append(self)
 
-    def recording_submit(self, model, batches, modulation):
-        submits.append(len(batches))
-        submit(self, model, batches, modulation)
-
     def run_when_ready(state, round_t):
-        if state.eval_helper is not None:
-            wait_ready(state.eval_helper)
+        if state.helper is not None:
+            wait_ready(state.helper)
         return run(state, round_t)
 
-    monkeypatch.setattr(EvalHelper, "__init__", recording_init)
-    monkeypatch.setattr(EvalHelper, "submit", recording_submit)
+    monkeypatch.setattr(Helper, "__init__", recording_init)
+    monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
     monkeypatch.setattr(federation, "run_round", run_when_ready)
-    return helpers, submits
+    return helpers, sent
 
 
 # -- the same bits -----------------------------------------------------------------
@@ -81,18 +103,56 @@ def started(monkeypatch):
 def test_evaluate_with_helper_is_bitwise_equal(helper, monkeypatch, batch_size, batches):
     model = small_model(seed=31)
     data = synth_dataset(4, 10, image_size=8, rng=np.random.default_rng(32))
-    sent = []
-    submit = helper.submit
-
-    def recording_submit(model, batches, modulation):
-        sent.append(len(batches))
-        submit(model, batches, modulation)
-
-    monkeypatch.setattr(helper, "submit", recording_submit)
+    sent = {"evaluate": []}
+    monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
     alone = evaluate(model, data, batch_size=batch_size)
     shared = evaluate(model, data, batch_size=batch_size, helper=helper)
-    assert sent == [batches // 2]  # the back half
+    assert sent["evaluate"] == [batches // 2]  # the back half
     assert shared.tobytes() == alone.tobytes()
+
+
+def test_rounds_with_helper_are_bitwise_equal(trainer, monkeypatch):
+    sent = {"train": [], "evaluate": []}
+    monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
+    alone, shared = shared_state(), shared_state()
+    shared.helper = trainer
+    # from round 2 on, each client's running estimate travels with its task
+    reports = [[run_round(state, t) for t in (1, 2, 3)] for state in (alone, shared)]
+    assert sent == {"train": [2, 2, 2], "evaluate": [1, 1, 1]}
+    for name, t in alone.model.params.items():
+        assert t.data.tobytes() == shared.model.params[name].data.tobytes(), name
+    for a, b in zip(alone.clients, shared.clients):
+        assert a.estimate.tobytes() == b.estimate.tobytes() and a.last_train_loss == b.last_train_loss
+    for a, b in zip(*reports):
+        assert a.exit_accuracy.tobytes() == b.exit_accuracy.tobytes()
+        assert {**vars(a), "exit_accuracy": None} == {**vars(b), "exit_accuracy": None}
+
+
+@pytest.mark.parametrize("first", ["here", "in the helper"])
+def test_divergence_in_both_shares_is_the_error_of_one_process(trainer, first):
+    def poisoned():
+        """SHARED with an inf pixel in one training example of a client in each share."""
+        state = shared_state()
+        theirs = helper_share(state.clients)  # every client trains in every round
+        mine = [i for i, t in enumerate(theirs) if not t]
+        helpers = [i for i, t in enumerate(theirs) if t]
+        for cid in (mine[0], helpers[-1]) if first == "here" else (helpers[0], mine[-1]):
+            example = state.clients[cid].train[0]
+            image = example.image.copy()
+            image[0, 0, 0] = np.inf
+            state.clients[cid].train[0] = Example(image, example.label)
+        return state
+
+    with pytest.raises(DivergenceError) as alone:
+        run_round(poisoned(), 1)
+    state = poisoned()
+    state.helper = trainer
+    with pytest.raises(DivergenceError) as shared:
+        run_round(state, 1)
+    assert str(shared.value) == str(alone.value)
+    state = shared_state()
+    state.helper = trainer
+    run_round(state, 1)  # the helper still serves
 
 
 @multi_cpu
@@ -114,13 +174,13 @@ def test_cli_run_matches_the_run_pinned_to_one_cpu(tmp_path):
 
 
 def test_overflow_in_the_helpers_half_is_a_divergence_naming_the_round(helper):
-    state = build_server(parse_config(overrides=[f"{k}={v}" for k, v in SHARED.items()]))
+    state = shared_state()
     assert len(state.test_set) > eval_batch_size(state.model.config)
     last = state.test_set[-1]
     image = last.image.copy()
     image[0, 0, 0] = np.inf  # a pixel that overflowed float32
     state.test_set[-1] = Example(image, last.label)
-    state.eval_helper = helper
+    state.helper = helper
     with pytest.raises(DivergenceError, match="evaluating the global model after round 1$"):
         run_round(state, 1)
 
@@ -132,13 +192,13 @@ def test_run_whose_helper_dies_exits_1_with_one_error_line(tmp_path, started, mo
 
     def kill_helper_in_round_2(state, round_t):
         if round_t == 2:
-            state.eval_helper.proc.kill()
-            state.eval_helper.proc.wait()
+            state.helper.proc.kill()
+            state.helper.proc.wait()
         return run(state, round_t)
 
     monkeypatch.setattr(federation, "run_round", kill_helper_in_round_2)
     assert main(run_args(tmp_path / "out")) == 1
-    assert capsys.readouterr().err == "error: evaluation helper process ended unexpectedly (exit status -9)\n"
+    assert capsys.readouterr().err == "error: helper process ended unexpectedly (exit status -9)\n"
     assert helpers[0].proc.returncode == -signal.SIGKILL
 
 
@@ -147,10 +207,11 @@ def test_run_whose_helper_dies_exits_1_with_one_error_line(tmp_path, started, mo
 
 @multi_cpu
 def test_no_helper_remains_after_main_returns(tmp_path, started):
-    helpers, submits = started
+    helpers, sent = started
     assert main(run_args(tmp_path / "out")) == 0
     assert len(helpers) == 1 and helpers[0].proc.returncode == 0
-    assert submits == [1] * SHARED["federation.total_rounds"]
+    rounds = SHARED["federation.total_rounds"]
+    assert sent == {"train": [2] * rounds if helpers[0].trains else [], "evaluate": [1] * rounds}
 
 
 class Stop(BaseException):
@@ -159,7 +220,7 @@ class Stop(BaseException):
 
 @multi_cpu
 def test_no_helper_remains_after_a_round_raises(tmp_path, started, monkeypatch):
-    helpers, submits = started
+    helpers, sent = started
     run = federation.run_round
 
     def stop_in_round_2(state, round_t):
@@ -170,7 +231,7 @@ def test_no_helper_remains_after_a_round_raises(tmp_path, started, monkeypatch):
     monkeypatch.setattr(federation, "run_round", stop_in_round_2)
     with pytest.raises(Stop):
         main(run_args(tmp_path / "out"))
-    assert submits == [1]
+    assert sent == {"train": [2] if helpers[0].trains else [], "evaluate": [1]}
     assert len(helpers) == 1 and helpers[0].proc.returncode == -signal.SIGKILL
 
 
@@ -236,8 +297,10 @@ def test_script_without_main_guard_runs_once(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    {"federation.total_rounds": 3, "federation.eval_interval": 2},  # one evaluation
-    {"data.split_ratio": 0.8},  # one batch
+    # one evaluation, one client per round
+    {"federation.total_rounds": 3, "federation.eval_interval": 2, "federation.sample_fraction": 0.25},
+    {"data.split_ratio": 0.8, "federation.total_rounds": 2},  # one test batch, two rounds
+    {"data.split_ratio": 0.8, "federation.sample_fraction": 0.25},  # one test batch, one client per round
 ])
 def test_no_helper_for_one_evaluation_or_one_batch(tmp_path, started, extra):
     helpers, _ = started
@@ -245,8 +308,50 @@ def test_no_helper_for_one_evaluation_or_one_batch(tmp_path, started, extra):
     assert helpers == []
 
 
+def test_helper_trains_where_evaluation_has_one_batch(tmp_path, started):
+    helpers, sent = started
+    assert main(run_args(tmp_path / "out", **{"data.split_ratio": 0.8})) == 0
+    assert len(helpers) == 1
+    if helpers[0].trains:
+        assert sent == {"train": [2] * SHARED["federation.total_rounds"], "evaluate": []}
+
+
 def test_no_helper_on_one_cpu(tmp_path, started, monkeypatch):
     helpers, _ = started
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(run_args(tmp_path / "out")) == 0
     assert helpers == []
+
+
+def test_helper_without_a_blas_thread_setter_only_evaluates(tmp_path, started, monkeypatch):
+    _, sent = started
+    monkeypatch.setattr(helper_module, "_one_blas_thread", lambda: None)
+    assert main(run_args(tmp_path / "out")) == 0
+    assert sent == {"train": [], "evaluate": [1] * SHARED["federation.total_rounds"]}
+
+
+def test_this_process_runs_one_blas_thread_while_the_helper_runs():
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        pytest.skip("numpy links no scipy-openblas64")
+    original = get()
+    lib.scipy_openblas_set_num_threads64_(2)  # so that a count left at 1 elsewhere cannot pass for restored
+    try:
+        with Helper.started(True) as helper:
+            wait_ready(helper)
+            assert helper.trains and get() == 1
+        assert get() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(original)
+
+
+def test_helper_share_is_longest_first_and_balanced():
+    def clients(*work):  # (budget, training examples) per client
+        return [SimpleNamespace(budget=b, train=[None] * n) for b, n in work]
+
+    # budgets 2/4/6/8 with equal data: 8 + 2 here against 6 + 4 in the helper
+    assert helper_share(clients((2, 8), (4, 8), (6, 8), (8, 8))) == [False, True, True, False]
+    assert helper_share(clients((8, 1), (2, 10))) == [True, False]  # 8 x 1 is less work than 2 x 10
+    assert helper_share(clients((4, 5), (4, 5), (4, 5))) == [False, True, False]  # ties in sampled order
+    assert helper_share(clients((4, 5))) == [False]

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from reefl.errors import NonFiniteError, ShapeError, StateError
 from reefl.numerics import (
     Tensor,
     concat,
     cross_entropy,
     gelu,
-    grad_check,
     layer_norm,
     log_softmax,
     matmul,

@@ -3,9 +3,10 @@ import pytest
 
 import reefl.ree as ree_mod
 from conftest import make_view
+from gradcheck import grad_check
 from reefl.backbone import block_forward, msa_forward
 from reefl.errors import BudgetError, InputError, ScheduleError
-from reefl.numerics import Tensor, concat, grad_check, layer_norm, narrow, reshape, stack, tsum
+from reefl.numerics import Tensor, concat, layer_norm, narrow, reshape, stack, tsum
 from reefl.ree import (
     REE_HEADS,
     attention_maps,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_view, traced_memory
+from gradcheck import grad_check
 from reefl import backbone
 from reefl.errors import (
     ConfigError,
@@ -16,7 +17,7 @@ from reefl.errors import (
     StateError,
     TraceError,
 )
-from reefl.numerics import Tensor, grad_check
+from reefl.numerics import Tensor
 from reefl.numerics import tensor as tensor_module
 from reefl.numerics.tensor import _consumed
 from reefl.ree import ForwardTrace, forward_with_exits
