@@ -4,11 +4,9 @@ Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
 Config values come from an optional key=value file plus ``--key=value``
 overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
 config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
-failure prints one ``error:`` line. ``run`` shares its work with one
-helper process (``helper``) when it has a second CPU and either at least two
-evaluations of at least two test batches or at least two clients per round
-over at least three rounds: the helper trains a share of each round's
-clients and scores half of each evaluation. The outputs are the same bits.
+failure prints one ``error:`` line. ``run`` may share its work with one
+helper process (see ``federation.wants_helper``); the outputs are the same
+bits.
 """
 from __future__ import annotations
 

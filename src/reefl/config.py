@@ -138,8 +138,6 @@ class ExperimentConfig:
             )
         if not 0 < self["data.split_ratio"] < 1:
             raise ConfigError("data.split_ratio must be in (0, 1)")
-        if self["data.alpha"] <= 0:
-            raise ConfigError("data.alpha must be positive")
 
     def resolved_text(self) -> str:
         lines = [f"{key}={_format_value(self.values[key])}" for key in sorted(self.values)]

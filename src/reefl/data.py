@@ -109,8 +109,6 @@ def split_train_test(examples: list, ratio: float, rng: np.random.Generator):
     n = len(examples)
     if n < 2:
         raise SplitError(f"cannot split {n} example(s) into train and test")
-    if not 0 < ratio < 1:
-        raise ConfigError("split ratio must be in (0, 1)")
     order = rng.permutation(n)
     train_size = min(int(np.ceil(ratio * n)), n - 1)
     train = [examples[i] for i in order[:train_size]]

@@ -102,8 +102,6 @@ def init_global_model(config: ModelConfig, rng: np.random.Generator, dtype=np.fl
 def assign_budgets(num_clients: int, exit_blocks: tuple) -> list[int]:
     """Equal-sized budget groups, one per exit block, remainder going to the deepest budgets."""
     exits = len(exit_blocks)
-    if num_clients < exits:
-        raise ConfigError(f"{num_clients} clients cannot cover {exits} budget tiers")
     base, rem = divmod(num_clients, exits)
     budgets = []
     for e, block in enumerate(exit_blocks):
@@ -116,8 +114,6 @@ def sample_clients(pool: list, fraction: float, rng: np.random.Generator) -> lis
     """Uniform sample without replacement of max(1, round(fraction * pool))."""
     if not pool:
         raise ConfigError("cannot sample from an empty client pool")
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"sample fraction {fraction} outside (0, 1]")
     size = max(1, round(fraction * len(pool)))
     picked = rng.choice(sorted(pool), size=size, replace=False)
     return sorted(int(c) for c in picked)
@@ -243,8 +239,7 @@ def evaluate(
     split = (len(chunks) + 1) // 2 if helper is not None and helper.ready() else len(chunks)
     shared = [_stacked(c) for c in chunks[split:]]
     if shared:
-        arrays = {name: t.data for name, t in model.params.items()}
-        helper.submit("evaluate", arrays, model.config, model.budget, shared, modulation)
+        helper.submit(count_correct, model, shared, modulation)
     correct = count_correct(model, map(_stacked, chunks[:split]), modulation)
     if shared:
         correct += helper.result()
@@ -350,6 +345,24 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
     return ServerState(cfg=cfg, model=model, clients=clients, test_set=test_set, train_cfg=cfg.train_config())
 
 
+def train_clients(model: Model, clients: list, rngs: list, train_cfg: TrainConfig, round_t: int, modulation: bool):
+    """Train each client on its own slice of ``model`` and its own RNG, in
+    order; per client, ``(trained tensors, sample count, new estimate,
+    last_train_loss)``. The first ``ReeflError`` ends the list in place of
+    the client that raised it, and no later client trains. ``run_round``
+    calls it for its own share and submits it for the helper's, so that a
+    client's step is the same code, and the same bits, in either process."""
+    done = []
+    for client, rng in zip(clients, rngs):
+        try:
+            view = slice_submodel(model, client.budget)
+            trained, n = local_train(client, view, train_cfg, round_t, rng, modulation)
+        except ReeflError as exc:
+            return done + [exc]
+        done.append((trained, n, client.estimate, client.last_train_loss))
+    return done
+
+
 def run_round(state: ServerState, round_t: int) -> RoundReport:
     cfg, train_cfg = state.cfg, state.train_cfg
     seed, helper = cfg["seed"], state.helper
@@ -360,34 +373,28 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     modulation = cfg["schedule.modulation_enabled"]
 
     trains = helper is not None and helper.ready() and helper.trains
-    share = [i for i, theirs in enumerate(helper_share(clients)) if theirs] if trains else []
+    theirs = helper_share(clients) if trains else [False] * len(clients)
+    share = [i for i, t in enumerate(theirs) if t]
+    mine = [i for i, t in enumerate(theirs) if not t]
+
+    def task(model: Model, side: list) -> tuple:
+        """``train_clients``' arguments for the sampled clients at indices ``side``."""
+        return model, [clients[i] for i in side], [rngs[i] for i in side], train_cfg, round_t, modulation
+
     if share:
         deepest = max(clients[i].budget for i in share)
-        arrays = {name: t.data for name, t in _covered(state.model, deepest).params.items()}
-        tasks = [(c.id, c.budget, c.train, c.estimate, rngs[i]) for i, c in enumerate(clients) if i in share]
-        helper.submit("train", arrays, state.model.config, tasks, train_cfg, round_t, modulation)
-    # outcomes[i]: sampled client i's (trained tensors, sample count), or the ReeflError it raised
-    outcomes: list = [None] * len(clients)
-    for i, client in enumerate(clients):
-        if i in share:
-            continue
-        try:
-            view = slice_submodel(state.model, client.budget)
-            outcomes[i] = local_train(client, view, train_cfg, round_t, rngs[i], modulation=modulation)
-        except ReeflError as exc:
-            outcomes[i] = exc
-            break  # no later client of this share can fail first
+        helper.submit(train_clients, *task(_covered(state.model, deepest), share))
+    outcomes = dict(zip(mine, train_clients(*task(state.model, mine))))
     if share:
-        for i, reply in zip(share, helper.result()):
-            if not isinstance(reply, ReeflError):
-                trained, n, clients[i].estimate, clients[i].last_train_loss = reply
-                reply = (trained, n)
-            outcomes[i] = reply
-    failed = [o for o in outcomes if isinstance(o, ReeflError)]
+        outcomes.update(zip(share, helper.result()))
+    failed = [outcomes[i] for i in sorted(outcomes) if isinstance(outcomes[i], ReeflError)]
     if failed:
         raise failed[0]  # the error of the first failing client in sampled order, as in one process
 
-    updates = [(params, n * train_cfg.local_epochs, c.budget) for (params, n), c in zip(outcomes, clients)]
+    updates = []
+    for i, client in enumerate(clients):
+        params, n, client.estimate, client.last_train_loss = outcomes[i]
+        updates.append((params, n * train_cfg.local_epochs, client.budget))
     aggregate(state.model, updates)
     bytes_moved = sum(comm_cost(_covered(state.model, c.budget), train_cfg.mode) for c in clients)
 

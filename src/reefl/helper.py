@@ -1,26 +1,18 @@
 """One helper process per run: it trains a share of each round's sampled
 clients and scores the back half of each evaluation's test batches.
 
-``reefl run`` makes at most one (``federation.wants_helper``), whose process
-starts when round 1 first asks whether it is ready. Tasks and replies are
-pickles over the helper's stdin and stdout, one reply per task:
+``reefl run`` makes at most one, when ``federation.wants_helper`` says so;
+its process starts when round 1 first asks whether it is ready. Each task is
+a pickled ``(fn, args)`` over the helper's stdin, where ``fn`` is a
+module-level function of the simulator (pickled by name), and its one reply
+over stdout is ``fn(*args)``, or the ``ReeflError`` that the call raised.
 
-- ``("train", arrays, config, clients, train_cfg, round_t, modulation)``
-  carries the global arrays that the share's deepest budget covers and, per
-  client, its id, budget, training examples, running estimate and RNG. The
-  reply holds, per client in the order sent, its trained tensors, sample
-  count, new estimate and ``last_train_loss``; a ``ReeflError`` ends the
-  list in place of the client that raised it, and no later client trains.
-- ``("evaluate", arrays, config, budget, batches, modulation)`` is answered
-  with the per-exit int64 correct counts, or the ``ReeflError`` that
-  scoring raised.
-
-The helper (``python -m reefl.helper``) imports only the forward path and
-local training, runs with one BLAS thread, and exits at EOF on stdin, which
-it also sees when its parent dies. Once the parent sees it ready, the parent
-too runs on one BLAS thread until the helper stops, so that the two
-processes do not oversubscribe the CPUs. Where numpy's OpenBLAS offers no
-thread-count setter, the helper only scores evaluations.
+The helper (``python -m reefl.helper``) runs with one BLAS thread and exits
+at EOF on stdin, which it also sees when its parent dies. Once the parent
+sees it ready, the parent too runs on one BLAS thread until the helper
+stops, so that the two processes do not oversubscribe the CPUs. Where
+numpy's OpenBLAS offers no thread-count setter, the helper only scores
+evaluations.
 """
 from __future__ import annotations
 
@@ -30,7 +22,6 @@ import select
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 from .errors import ReeflError
 
@@ -98,16 +89,16 @@ class Helper:
         """Whether rounds may hand it clients: it is ready, and this process runs one BLAS thread."""
         return self._restore_blas is not None
 
-    def submit(self, *task) -> None:
-        """Send one task, laid out as the module docstring says; ``result`` collects its reply."""
+    def submit(self, fn, *args) -> None:
+        """Send ``fn(*args)`` to the helper; ``result`` collects its reply."""
         try:
-            pickle.dump(task, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((fn, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
         except BrokenPipeError:
             self._lost()
 
     def result(self):
-        """The reply to the task sent last; raises what scoring an evaluation raised."""
+        """The reply to the task sent last; raises the ``ReeflError`` that the task raised."""
         reply = self._receive()
         if isinstance(reply, ReeflError):
             raise reply
@@ -155,31 +146,8 @@ def serve() -> None:
 
     import numpy as np
 
-    from .backbone import covering_budget
-    from .numerics import Tensor
-    from .ree import count_correct
-    from .training import local_train
+    from . import federation  # noqa: F401  -- imported before ready, so that no task waits for it
 
-    def train(arrays, config, clients, train_cfg, round_t, modulation) -> list:
-        done = []
-        for cid, budget, examples, estimate, rng in clients:
-            client = SimpleNamespace(id=cid, train=examples, estimate=estimate)
-            covered = {name: a for name, a in arrays.items() if covering_budget(name) <= budget}
-            try:  # as ``slice_submodel`` does, copying raises on a non-finite array
-                params = {name: Tensor(a.copy()) for name, a in covered.items()}
-                view = SimpleNamespace(params=params, config=config, budget=budget)
-                trained, n = local_train(client, view, train_cfg, round_t, rng, modulation)
-            except ReeflError as exc:
-                return done + [exc]
-            done.append((trained, n, client.estimate, client.last_train_loss))
-        return done
-
-    def evaluate(arrays, config, budget, batches, modulation):
-        params = {name: Tensor(a) for name, a in arrays.items()}
-        view = SimpleNamespace(params=params, config=config, budget=budget)
-        return count_correct(view, batches, modulation)
-
-    handlers = {"train": train, "evaluate": evaluate}
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent kills its helper itself
     tasks, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # nothing but replies may reach the reply stream
@@ -188,9 +156,9 @@ def serve() -> None:
         replies.flush()
         with np.errstate(all="ignore"):
             while True:
-                kind, *task = pickle.load(tasks)
+                fn, args = pickle.load(tasks)
                 try:
-                    reply = handlers[kind](*task)
+                    reply = fn(*args)
                 except ReeflError as exc:
                     reply = exc
                 pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)

@@ -350,6 +350,9 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
     ("data.alpha=nan", "bad value for 'data.alpha' (override): nan is not finite"),
     ("train.clip=inf", "bad value for 'train.clip' (override): inf is not finite"),
     ("data.image_size=0", "image_size must be >= 1, got 0"),
+    ("federation.num_clients=1", "federation.num_clients=1 is fewer than 2 exits"),
+    ("data.split_ratio=1", "data.split_ratio must be in (0, 1)"),
+    ("data.alpha=0", "Dirichlet concentration must be positive and finite, got 0.0"),
 ])
 def test_run_out_of_range_value_exit_2(tmp_path, override, message):
     out = tmp_path / "out"

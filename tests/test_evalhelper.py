@@ -63,12 +63,13 @@ def trainer(helper):
 
 
 def recorded(submit, sent: dict):
-    """``submit`` that also appends to ``sent[kind]`` the batch count of
-    every evaluation task and the client count of every training task."""
+    """``submit`` that also appends to ``sent[fn.__name__]`` the size of
+    every task's second argument: the batches of an evaluation, the clients
+    of a training share."""
 
-    def recording_submit(self, kind, *task):
-        sent[kind].append(len(task[3] if kind == "evaluate" else task[2]))
-        submit(self, kind, *task)
+    def recording_submit(self, fn, *args):
+        sent[fn.__name__].append(len(args[1]))
+        submit(self, fn, *args)
 
     return recording_submit
 
@@ -78,7 +79,7 @@ def started(monkeypatch):
     """The helpers a test starts, and the sizes of the tasks sent, by kind;
     each round first waits until the run's helper is ready, so that every
     round of the run uses it."""
-    helpers, sent = [], {"train": [], "evaluate": []}
+    helpers, sent = [], {"train_clients": [], "count_correct": []}
     init, run = Helper.__init__, federation.run_round
 
     def recording_init(self):
@@ -103,22 +104,22 @@ def started(monkeypatch):
 def test_evaluate_with_helper_is_bitwise_equal(helper, monkeypatch, batch_size, batches):
     model = small_model(seed=31)
     data = synth_dataset(4, 10, image_size=8, rng=np.random.default_rng(32))
-    sent = {"evaluate": []}
+    sent = {"count_correct": []}
     monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
     alone = evaluate(model, data, batch_size=batch_size)
     shared = evaluate(model, data, batch_size=batch_size, helper=helper)
-    assert sent["evaluate"] == [batches // 2]  # the back half
+    assert sent["count_correct"] == [batches // 2]  # the back half
     assert shared.tobytes() == alone.tobytes()
 
 
 def test_rounds_with_helper_are_bitwise_equal(trainer, monkeypatch):
-    sent = {"train": [], "evaluate": []}
+    sent = {"train_clients": [], "count_correct": []}
     monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
     alone, shared = shared_state(), shared_state()
     shared.helper = trainer
     # from round 2 on, each client's running estimate travels with its task
     reports = [[run_round(state, t) for t in (1, 2, 3)] for state in (alone, shared)]
-    assert sent == {"train": [2, 2, 2], "evaluate": [1, 1, 1]}
+    assert sent == {"train_clients": [2, 2, 2], "count_correct": [1, 1, 1]}
     for name, t in alone.model.params.items():
         assert t.data.tobytes() == shared.model.params[name].data.tobytes(), name
     for a, b in zip(alone.clients, shared.clients):
@@ -126,6 +127,25 @@ def test_rounds_with_helper_are_bitwise_equal(trainer, monkeypatch):
     for a, b in zip(*reports):
         assert a.exit_accuracy.tobytes() == b.exit_accuracy.tobytes()
         assert {**vars(a), "exit_accuracy": None} == {**vars(b), "exit_accuracy": None}
+
+
+def test_helper_updates_are_aggregated_in_sampled_order(trainer, monkeypatch):
+    handed = []
+    aggregate = federation.aggregate
+
+    def recording_aggregate(model, updates):
+        handed.append([(budget, weight, list(params)) for params, weight, budget in updates])
+        return aggregate(model, updates)
+
+    monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+    alone, shared = shared_state(), shared_state()
+    shared.helper = trainer
+    theirs = helper_share(shared.clients)  # every client trains in every round
+    assert any(theirs) and theirs != sorted(theirs)  # the helper's clients are not the last sampled
+    for state in (alone, shared):
+        run_round(state, 1)
+    assert len(handed) == 2 and handed[0] == handed[1]
+    assert [budget for budget, _, _ in handed[1]] == [c.budget for c in shared.clients]
 
 
 @pytest.mark.parametrize("first", ["here", "in the helper"])
@@ -211,7 +231,7 @@ def test_no_helper_remains_after_main_returns(tmp_path, started):
     assert main(run_args(tmp_path / "out")) == 0
     assert len(helpers) == 1 and helpers[0].proc.returncode == 0
     rounds = SHARED["federation.total_rounds"]
-    assert sent == {"train": [2] * rounds if helpers[0].trains else [], "evaluate": [1] * rounds}
+    assert sent == {"train_clients": [2] * rounds if helpers[0].trains else [], "count_correct": [1] * rounds}
 
 
 class Stop(BaseException):
@@ -231,7 +251,7 @@ def test_no_helper_remains_after_a_round_raises(tmp_path, started, monkeypatch):
     monkeypatch.setattr(federation, "run_round", stop_in_round_2)
     with pytest.raises(Stop):
         main(run_args(tmp_path / "out"))
-    assert sent == {"train": [2] if helpers[0].trains else [], "evaluate": [1]}
+    assert sent == {"train_clients": [2] if helpers[0].trains else [], "count_correct": [1]}
     assert len(helpers) == 1 and helpers[0].proc.returncode == -signal.SIGKILL
 
 
@@ -313,7 +333,7 @@ def test_helper_trains_where_evaluation_has_one_batch(tmp_path, started):
     assert main(run_args(tmp_path / "out", **{"data.split_ratio": 0.8})) == 0
     assert len(helpers) == 1
     if helpers[0].trains:
-        assert sent == {"train": [2] * SHARED["federation.total_rounds"], "evaluate": []}
+        assert sent == {"train_clients": [2] * SHARED["federation.total_rounds"], "count_correct": []}
 
 
 def test_no_helper_on_one_cpu(tmp_path, started, monkeypatch):
@@ -327,7 +347,7 @@ def test_helper_without_a_blas_thread_setter_only_evaluates(tmp_path, started, m
     _, sent = started
     monkeypatch.setattr(helper_module, "_one_blas_thread", lambda: None)
     assert main(run_args(tmp_path / "out")) == 0
-    assert sent == {"train": [], "evaluate": [1] * SHARED["federation.total_rounds"]}
+    assert sent == {"train_clients": [], "count_correct": [1] * SHARED["federation.total_rounds"]}
 
 
 def test_this_process_runs_one_blas_thread_while_the_helper_runs():

@@ -62,8 +62,8 @@ def test_assign_budgets_remainder_to_deepest():
 
 
 def test_assign_budgets_too_few_clients():
-    with pytest.raises(ConfigError):
-        assign_budgets(3, (3, 6, 9, 12))
+    with pytest.raises(ConfigError, match="fewer than 4 exits"):
+        parse_config(overrides=["federation.num_clients=3", "model.depth=12", "schedule.exit_blocks=3,6,9,12"])
 
 
 # -- sampling ----------------------------------------------------------------
