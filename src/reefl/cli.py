@@ -5,8 +5,8 @@ Config values come from an optional key=value file plus ``--key=value``
 overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
 config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
 failure prints one ``error:`` line. ``run`` may share its work with one
-helper process (see ``federation.wants_helper``); the outputs are the same
-bits.
+helper process, forked from it in round 1 (see ``federation.wants_helper``);
+the outputs are the same bits.
 """
 from __future__ import annotations
 

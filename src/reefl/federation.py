@@ -8,11 +8,11 @@ sample count of exactly the clients whose budget covers it, in sampled
 order.
 
 Evaluation scores every exit of the global model on the pooled test set.
-When ``reefl run`` has started a helper process (see ``wants_helper``), each
-round hands it a budget-balanced share of its clients (``helper_share``) and
-each evaluation the back half of its test batches; the bits are the same as
-in one process. Direct calls of ``evaluate``, ``run_round`` and
-``run_rounds`` run in this process.
+When ``reefl run`` has a helper process (see ``wants_helper``), every round
+from round 1 on hands it a budget-balanced share of its clients
+(``helper_share``) and every evaluation the back half of its test batches;
+the bits are the same as in one process. Direct calls of ``evaluate``,
+``run_round`` and ``run_rounds`` run in this process.
 """
 from __future__ import annotations
 
@@ -227,16 +227,16 @@ def evaluate(
     the per-op overhead. Accuracies do not depend on the batch size, since
     every op treats samples independently.
 
-    Given a ``helper`` that is ready, and at least two batches, the helper
-    scores the back half of the batches while this process scores the front
-    half; the batches, and so the accuracies, are the same as without it.
+    Given a ``helper`` and at least two batches, the helper scores the back
+    half of the batches while this process scores the front half; the
+    batches, and so the accuracies, are the same as without it.
     """
     if not test_set:
         raise ConfigError("empty test set")
     if batch_size is None:
         batch_size = eval_batch_size(model.config, model.params["patch_embed"].dtype)
     chunks = [test_set[s : s + batch_size] for s in range(0, len(test_set), batch_size)]
-    split = (len(chunks) + 1) // 2 if helper is not None and helper.ready() else len(chunks)
+    split = (len(chunks) + 1) // 2 if helper is not None else len(chunks)
     shared = [_stacked(c) for c in chunks[split:]]
     if shared:
         helper.submit(count_correct, model, shared, modulation)
@@ -272,11 +272,11 @@ def client_pool(state: ServerState) -> list[int]:
 
 
 def wants_helper(state: ServerState) -> bool:
-    """Whether a helper process would pay for its start-up in this run, as
-    the config alone decides: a second CPU to run on, and either at least
-    two evaluations of at least two test batches each, or at least two
-    clients per round over at least three rounds (round 1 mostly runs before
-    the helper is ready)."""
+    """Whether a helper process would pay for itself in this run, as the
+    config alone decides: a second CPU to run on, and either at least two
+    evaluations of at least two test batches each, or at least two clients
+    per round over at least three rounds (shorter runs stay in one process,
+    where a tracer, such as perfbench's, sees every client train)."""
     cfg, model = state.cfg, state.model
     rounds = cfg["federation.total_rounds"]
     batch = eval_batch_size(model.config, model.params["patch_embed"].dtype)
@@ -372,8 +372,7 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     rngs = [rng_for(seed, _D_TRAIN, round_t, cid) for cid in sampled]
     modulation = cfg["schedule.modulation_enabled"]
 
-    trains = helper is not None and helper.ready() and helper.trains
-    theirs = helper_share(clients) if trains else [False] * len(clients)
+    theirs = helper_share(clients) if helper is not None else [False] * len(clients)
     share = [i for i, t in enumerate(theirs) if t]
     mine = [i for i, t in enumerate(theirs) if not t]
 

@@ -1,123 +1,139 @@
 """One helper process per run: it trains a share of each round's sampled
 clients and scores the back half of each evaluation's test batches.
 
-``reefl run`` makes at most one, when ``federation.wants_helper`` says so;
-its process starts when round 1 first asks whether it is ready. Each task is
-a pickled ``(fn, args)`` over the helper's stdin, where ``fn`` is a
-module-level function of the simulator (pickled by name), and its one reply
-over stdout is ``fn(*args)``, or the ``ReeflError`` that the call raised.
+``reefl run`` makes at most one, when ``federation.wants_helper`` says so.
+Its process is a ``fork`` of the run, made by the first task (in round 1),
+so it takes tasks the moment it exists. Each task is a pickled ``(fn,
+args)`` over one pipe, where ``fn`` is a module-level function of the
+simulator (pickled by name); its one reply, over another pipe, is
+``fn(*args)`` or the ``ReeflError`` that the call raised. The state travels
+with every task, as the fork's copy of it is stale after round 1.
 
-The helper (``python -m reefl.helper``) runs with one BLAS thread and exits
-at EOF on stdin, which it also sees when its parent dies. Once the parent
-sees it ready, the parent too runs on one BLAS thread until the helper
-stops, so that the two processes do not oversubscribe the CPUs. Where
-numpy's OpenBLAS offers no thread-count setter, the helper only scores
-evaluations.
+Just before it forks, this process switches numpy's OpenBLAS to one thread,
+which the helper inherits, and it gets its previous count back when the
+helper stops, so that two processes do not oversubscribe the CPUs. Without
+an OpenBLAS thread-count setter, no helper is made. The helper exits at EOF
+on its task pipe, which it also sees when its parent dies.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import select
+import signal
 import sys
+import traceback
 from contextlib import contextmanager
-from pathlib import Path
+
+import numpy as np
 
 from .errors import ReeflError
-
-READY = "ready"
 
 
 class Helper:
     """The parent's handle on one helper process; use ``started``."""
 
-    def __init__(self):
-        self.proc = None  # started by the first ``ready`` call, so that set-up neither imports nor starts it
-        self._ready = False
-        self._restore_blas = None  # set once it is ready, where this process found a BLAS thread setter
+    def __init__(self, blas: tuple):
+        self.pid = None  # forked by the first ``submit``, so that set-up-only runs start nothing
+        self.returncode = None  # its exit status, once reaped
+        self._blas = blas  # numpy's OpenBLAS thread-count getter and setter
+        self._restore_blas = None  # set when it is forked
 
     @classmethod
     @contextmanager
     def started(cls, wanted: bool):
-        """Yield a new helper, or None unless ``wanted``. Leaving normally
-        closes its stdin and waits for its process to exit; leaving by any
-        exception, or before it was ever ready, kills the process first.
-        Either way this process gets back its BLAS threads."""
-        if not wanted:
+        """Yield a new helper, or None unless ``wanted`` and numpy's OpenBLAS
+        offers a thread-count setter. Leaving normally closes its task pipe
+        and waits for its process to exit; leaving by any exception kills
+        the process first. Either way this process gets back its BLAS
+        threads."""
+        blas = _blas_threads() if wanted else None
+        if blas is None:
             yield None
             return
-        helper = cls()
+        helper = cls(blas)
         try:
             yield helper
         except BaseException:
             helper._stop(kill=True)
             raise
-        helper._stop(kill=not helper._ready)  # a short run need not wait for it to finish starting
+        helper._stop(kill=False)
+
+    def _fork(self) -> None:
+        """Switch this process to one BLAS thread, then fork the helper."""
+        get, set_ = self._blas
+        previous = get()
+        set_(1)
+        self._restore_blas = lambda: set_(previous)
+        sys.stdout.flush()  # so that no buffered output is copied into the fork
+        sys.stderr.flush()
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper, which leaves by ``os._exit`` only, never into the frames that forked it
+            status = 1
+            try:
+                os.close(task_w)  # so that it sees EOF when its parent dies
+                os.close(reply_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent kills its helper itself
+                sys.stdout = sys.stderr  # the run's stdout carries the run's own output only
+                serve(os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb"))
+                status = 0
+            except BaseException:
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        os.close(task_r)
+        os.close(reply_w)
+        self.pid, self._tasks, self._replies = pid, os.fdopen(task_w, "wb"), os.fdopen(reply_r, "rb")
 
     def _stop(self, kill: bool) -> None:
         try:
-            if self.proc is not None:
-                if kill:
-                    self.proc.kill()
-                with self.proc:  # closes the pipes, then waits
-                    pass
+            if self.pid is not None and self.returncode is None:
+                self._end(kill)
         finally:
             if self._restore_blas is not None:
                 self._restore_blas()
 
-    def ready(self) -> bool:
-        """Whether the helper has signalled that it takes tasks; never blocks.
-        The first call starts its process; the first time it is ready, this
-        process switches to one BLAS thread."""
-        if self.proc is None:
-            import subprocess  # here, since most runs start no helper and need not import it
-
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-            src = str(Path(__file__).resolve().parents[1])
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "reefl.helper"], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
-            )
-        if not self._ready and select.select([self.proc.stdout], [], [], 0)[0]:
-            self._ready = self._receive() == READY
-            if self._ready:
-                self._restore_blas = _one_blas_thread()
-        return self._ready
-
-    @property
-    def trains(self) -> bool:
-        """Whether rounds may hand it clients: it is ready, and this process runs one BLAS thread."""
-        return self._restore_blas is not None
+    def _end(self, kill: bool) -> int:
+        """Close the pipes and reap the process, killed first if ``kill``; its exit status."""
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)  # it is not reaped yet, so the pid is still its own
+        for pipe in (self._tasks, self._replies):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # a task left unsent to a helper that is gone
+        self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
 
     def submit(self, fn, *args) -> None:
-        """Send ``fn(*args)`` to the helper; ``result`` collects its reply."""
+        """Send ``fn(*args)`` to the helper, forking it first if need be;
+        ``result`` collects its reply."""
+        if self.pid is None:
+            self._fork()
         try:
-            pickle.dump((fn, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
-            self.proc.stdin.flush()
+            pickle.dump((fn, args), self._tasks, pickle.HIGHEST_PROTOCOL)
+            self._tasks.flush()
         except BrokenPipeError:
             self._lost()
 
     def result(self):
         """The reply to the task sent last; raises the ``ReeflError`` that the task raised."""
-        reply = self._receive()
+        try:
+            reply = pickle.load(self._replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self._lost()
         if isinstance(reply, ReeflError):
             raise reply
         return reply
 
-    def _receive(self):
-        try:
-            return pickle.load(self.proc.stdout)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            self._lost()
-
     def _lost(self):
-        self.proc.kill()  # a no-op on a helper that has exited already
-        raise ReeflError(f"helper process ended unexpectedly (exit status {self.proc.wait()})")
+        raise ReeflError(f"helper process ended unexpectedly (exit status {self._end(kill=True)})")
 
 
-def _one_blas_thread():
-    """Set numpy's OpenBLAS to one thread; returns what restores the previous
-    count, or None where no thread-count setter is found."""
+def _blas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None where none is found."""
     import ctypes
 
     umath = sys.modules.get("numpy._core._multiarray_umath", sys.modules.get("numpy.core._multiarray_umath"))
@@ -134,26 +150,14 @@ def _one_blas_thread():
             getter, setter = getattr(lib, get), getattr(lib, set_)
             getter.argtypes, getter.restype = [], ctypes.c_int
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            previous = getter()
-            setter(1)
-            return lambda: setter(previous)
+            return getter, setter
     return None
 
 
-def serve() -> None:
-    """The helper's side: signal ready, then answer tasks until EOF."""
-    import signal
-
-    import numpy as np
-
-    from . import federation  # noqa: F401  -- imported before ready, so that no task waits for it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent kills its helper itself
-    tasks, replies = sys.stdin.buffer, sys.stdout.buffer
-    sys.stdout = sys.stderr  # nothing but replies may reach the reply stream
+def serve(tasks, replies) -> None:
+    """Answer each pickled ``(fn, args)`` read from ``tasks`` with a pickled
+    reply on ``replies``, until EOF on ``tasks`` or a broken ``replies``."""
     try:
-        pickle.dump(READY, replies)
-        replies.flush()
         with np.errstate(all="ignore"):
             while True:
                 fn, args = pickle.load(tasks)
@@ -165,7 +169,3 @@ def serve() -> None:
                 replies.flush()
     except (EOFError, BrokenPipeError):
         pass  # the parent is done, or gone
-
-
-if __name__ == "__main__":
-    serve()

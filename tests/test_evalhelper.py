@@ -40,26 +40,12 @@ def shared_state():
     return build_server(parse_config(overrides=[f"{k}={v}" for k, v in SHARED.items()]))
 
 
-def wait_ready(helper: Helper) -> None:
-    deadline = time.monotonic() + 60
-    while not helper.ready():
-        assert time.monotonic() < deadline, "helper not ready within 60 s"
-        time.sleep(0.01)
-
-
 @pytest.fixture
 def helper():
     with Helper.started(True) as started:
-        wait_ready(started)
+        if started is None:
+            pytest.skip("numpy's BLAS offers no thread-count setter, so no helper starts")
         yield started
-
-
-@pytest.fixture
-def trainer(helper):
-    """A ready helper that trains clients."""
-    if not helper.trains:
-        pytest.skip("numpy's BLAS offers no thread-count setter, so the helper trains no clients")
-    return helper
 
 
 def recorded(submit, sent: dict):
@@ -76,24 +62,16 @@ def recorded(submit, sent: dict):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The helpers a test starts, and the sizes of the tasks sent, by kind;
-    each round first waits until the run's helper is ready, so that every
-    round of the run uses it."""
+    """The helpers a test starts, and the sizes of the tasks sent, by kind."""
     helpers, sent = [], {"train_clients": [], "count_correct": []}
-    init, run = Helper.__init__, federation.run_round
+    init = Helper.__init__
 
-    def recording_init(self):
-        init(self)
+    def recording_init(self, *args):
+        init(self, *args)
         helpers.append(self)
-
-    def run_when_ready(state, round_t):
-        if state.helper is not None:
-            wait_ready(state.helper)
-        return run(state, round_t)
 
     monkeypatch.setattr(Helper, "__init__", recording_init)
     monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
-    monkeypatch.setattr(federation, "run_round", run_when_ready)
     return helpers, sent
 
 
@@ -112,11 +90,11 @@ def test_evaluate_with_helper_is_bitwise_equal(helper, monkeypatch, batch_size, 
     assert shared.tobytes() == alone.tobytes()
 
 
-def test_rounds_with_helper_are_bitwise_equal(trainer, monkeypatch):
+def test_rounds_with_helper_are_bitwise_equal(helper, monkeypatch):
     sent = {"train_clients": [], "count_correct": []}
     monkeypatch.setattr(Helper, "submit", recorded(Helper.submit, sent))
     alone, shared = shared_state(), shared_state()
-    shared.helper = trainer
+    shared.helper = helper
     # from round 2 on, each client's running estimate travels with its task
     reports = [[run_round(state, t) for t in (1, 2, 3)] for state in (alone, shared)]
     assert sent == {"train_clients": [2, 2, 2], "count_correct": [1, 1, 1]}
@@ -129,7 +107,7 @@ def test_rounds_with_helper_are_bitwise_equal(trainer, monkeypatch):
         assert {**vars(a), "exit_accuracy": None} == {**vars(b), "exit_accuracy": None}
 
 
-def test_helper_updates_are_aggregated_in_sampled_order(trainer, monkeypatch):
+def test_helper_updates_are_aggregated_in_sampled_order(helper, monkeypatch):
     handed = []
     aggregate = federation.aggregate
 
@@ -139,7 +117,7 @@ def test_helper_updates_are_aggregated_in_sampled_order(trainer, monkeypatch):
 
     monkeypatch.setattr(federation, "aggregate", recording_aggregate)
     alone, shared = shared_state(), shared_state()
-    shared.helper = trainer
+    shared.helper = helper
     theirs = helper_share(shared.clients)  # every client trains in every round
     assert any(theirs) and theirs != sorted(theirs)  # the helper's clients are not the last sampled
     for state in (alone, shared):
@@ -149,7 +127,7 @@ def test_helper_updates_are_aggregated_in_sampled_order(trainer, monkeypatch):
 
 
 @pytest.mark.parametrize("first", ["here", "in the helper"])
-def test_divergence_in_both_shares_is_the_error_of_one_process(trainer, first):
+def test_divergence_in_both_shares_is_the_error_of_one_process(helper, first):
     def poisoned():
         """SHARED with an inf pixel in one training example of a client in each share."""
         state = shared_state()
@@ -166,12 +144,12 @@ def test_divergence_in_both_shares_is_the_error_of_one_process(trainer, first):
     with pytest.raises(DivergenceError) as alone:
         run_round(poisoned(), 1)
     state = poisoned()
-    state.helper = trainer
+    state.helper = helper
     with pytest.raises(DivergenceError) as shared:
         run_round(state, 1)
     assert str(shared.value) == str(alone.value)
     state = shared_state()
-    state.helper = trainer
+    state.helper = helper
     run_round(state, 1)  # the helper still serves
 
 
@@ -181,7 +159,7 @@ def test_cli_run_matches_the_run_pinned_to_one_cpu(tmp_path):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     for name, preexec in (("shared", None), ("pinned", pin)):
-        # 20 rounds take about a second; the helper is ready after a third of that
+        # 20 rounds take about a second; the helper trains and evaluates from round 1
         args = run_args(tmp_path / name, **{"federation.total_rounds": 20})
         proc = subprocess.run([sys.executable, "-m", "reefl.cli", *args], preexec_fn=preexec,
                               capture_output=True, text=True, env=cli_env(), timeout=300)
@@ -212,14 +190,14 @@ def test_run_whose_helper_dies_exits_1_with_one_error_line(tmp_path, started, mo
 
     def kill_helper_in_round_2(state, round_t):
         if round_t == 2:
-            state.helper.proc.kill()
-            state.helper.proc.wait()
+            os.kill(state.helper.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, state.helper.pid, os.WEXITED | os.WNOWAIT)  # dead, but left for the run to reap
         return run(state, round_t)
 
     monkeypatch.setattr(federation, "run_round", kill_helper_in_round_2)
     assert main(run_args(tmp_path / "out")) == 1
     assert capsys.readouterr().err == "error: helper process ended unexpectedly (exit status -9)\n"
-    assert helpers[0].proc.returncode == -signal.SIGKILL
+    assert helpers[0].returncode == -signal.SIGKILL
 
 
 # -- lifetime ----------------------------------------------------------------------
@@ -229,9 +207,9 @@ def test_run_whose_helper_dies_exits_1_with_one_error_line(tmp_path, started, mo
 def test_no_helper_remains_after_main_returns(tmp_path, started):
     helpers, sent = started
     assert main(run_args(tmp_path / "out")) == 0
-    assert len(helpers) == 1 and helpers[0].proc.returncode == 0
+    assert len(helpers) == 1 and helpers[0].returncode == 0
     rounds = SHARED["federation.total_rounds"]
-    assert sent == {"train_clients": [2] * rounds if helpers[0].trains else [], "count_correct": [1] * rounds}
+    assert sent == {"train_clients": [2] * rounds, "count_correct": [1] * rounds}
 
 
 class Stop(BaseException):
@@ -251,8 +229,8 @@ def test_no_helper_remains_after_a_round_raises(tmp_path, started, monkeypatch):
     monkeypatch.setattr(federation, "run_round", stop_in_round_2)
     with pytest.raises(Stop):
         main(run_args(tmp_path / "out"))
-    assert sent == {"train_clients": [2] if helpers[0].trains else [], "count_correct": [1]}
-    assert len(helpers) == 1 and helpers[0].proc.returncode == -signal.SIGKILL
+    assert sent == {"train_clients": [2], "count_correct": [1]}
+    assert len(helpers) == 1 and helpers[0].returncode == -signal.SIGKILL
 
 
 def _children(pid: int) -> list[int]:
@@ -298,6 +276,26 @@ def test_helper_exits_within_2_s_of_its_parent_being_killed(tmp_path):
         parent.wait(timeout=60)
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to find the helper")
+def test_helper_failing_with_another_error_exits_1_and_never_returns(helper, capfd):
+    pid = os.getpid()
+    helper.submit(int, "x")  # a ValueError, which is no ``ReeflError`` to reply with
+    with pytest.raises(ReeflError, match=r"^helper process ended unexpectedly \(exit status 1\)$"):
+        helper.result()
+    assert os.getpid() == pid and _children(pid) == []
+    assert "ValueError" in capfd.readouterr().err  # its traceback
+
+
+@multi_cpu
+def test_output_printed_before_the_fork_appears_once(tmp_path):
+    script = tmp_path / "experiment.py"
+    script.write_text(f"from reefl.cli import main\nprint('before')\nmain({run_args(str(tmp_path / 'out'))!r})\n")
+    # stdout on a pipe is block-buffered, so "before" is still in this process's buffer when it forks
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=cli_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines().count("before") == 1 and proc.stdout.count("wrote ") == 1
+
+
 def test_script_without_main_guard_runs_once(tmp_path):
     marks = tmp_path / "marks"
     script = tmp_path / "experiment.py"
@@ -332,8 +330,7 @@ def test_helper_trains_where_evaluation_has_one_batch(tmp_path, started):
     helpers, sent = started
     assert main(run_args(tmp_path / "out", **{"data.split_ratio": 0.8})) == 0
     assert len(helpers) == 1
-    if helpers[0].trains:
-        assert sent == {"train_clients": [2] * SHARED["federation.total_rounds"], "count_correct": []}
+    assert sent == {"train_clients": [2] * SHARED["federation.total_rounds"], "count_correct": []}
 
 
 def test_no_helper_on_one_cpu(tmp_path, started, monkeypatch):
@@ -343,11 +340,15 @@ def test_no_helper_on_one_cpu(tmp_path, started, monkeypatch):
     assert helpers == []
 
 
-def test_helper_without_a_blas_thread_setter_only_evaluates(tmp_path, started, monkeypatch):
-    _, sent = started
-    monkeypatch.setattr(helper_module, "_one_blas_thread", lambda: None)
-    assert main(run_args(tmp_path / "out")) == 0
-    assert sent == {"train_clients": [], "count_correct": [1] * SHARED["federation.total_rounds"]}
+@multi_cpu
+def test_no_helper_without_a_blas_thread_setter(tmp_path, started, monkeypatch):
+    helpers, _ = started
+    assert main(run_args(tmp_path / "shared")) == 0
+    monkeypatch.setattr(helper_module, "_blas_threads", lambda: None)
+    assert main(run_args(tmp_path / "alone")) == 0
+    assert len(helpers) == 1  # the first run's
+    for f in ("metrics.csv", "checkpoint.ckpt"):
+        assert (tmp_path / "shared" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes(), f
 
 
 def test_this_process_runs_one_blas_thread_while_the_helper_runs():
@@ -359,8 +360,8 @@ def test_this_process_runs_one_blas_thread_while_the_helper_runs():
     lib.scipy_openblas_set_num_threads64_(2)  # so that a count left at 1 elsewhere cannot pass for restored
     try:
         with Helper.started(True) as helper:
-            wait_ready(helper)
-            assert helper.trains and get() == 1
+            helper.submit(abs, -1)  # the first task forks the helper
+            assert helper.result() == 1 and get() == 1
         assert get() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(original)
