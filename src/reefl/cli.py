@@ -6,7 +6,9 @@ overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
 config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
 failure prints one ``error:`` line. ``run`` may share its work with one
 helper process, forked from it in round 1 (see ``federation.wants_helper``);
-the outputs are the same bits.
+the outputs are the same bits. ``run`` flushes each evaluated round's
+``metrics.csv`` row as the round ends and writes ``checkpoint.ckpt`` after
+the last, so a failed or killed run keeps ``config.resolved`` and its rows.
 """
 from __future__ import annotations
 
@@ -47,16 +49,15 @@ def cmd_run(config_path, overrides) -> int:
     # A run that fails while loading or partitioning its data leaves no output directory.
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(cfg.resolved_text())
+    # An earlier run's model must not sit beside this run's rows if this one stops early.
+    (out_dir / "checkpoint.ckpt").unlink(missing_ok=True)
     # Every op's finite guard reports a fault as a typed error; numpy's warnings would only repeat it.
     with np.errstate(all="ignore"), Helper.started(wants_helper(state)) as state.helper:
-        reports = run_rounds(state)
-    write_metrics_csv(out_dir / "metrics.csv", reports, state.model.config.num_exits)
+        last = write_metrics_csv(out_dir / "metrics.csv", run_rounds(state), state.model.config.num_exits)
     save_checkpoint(out_dir / "checkpoint.ckpt", state.model)
-    evaluated = [r for r in reports if r.exit_accuracy is not None]
-    if evaluated:
-        last = evaluated[-1]
+    if last is not None:
         accs = " ".join(f"{a:.3f}" for a in last.exit_accuracy)
-        print(f"round {last.round_index}: exit accuracies [{accs}] mean {last.mean_accuracy:.3f}")
+        print(f"round {last.round_index}: exit accuracies [{accs}] mean {last.exit_accuracy.mean():.3f}")
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
 

@@ -7,6 +7,7 @@ fully resolved configuration can be echoed back out for reproducibility.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -171,7 +172,7 @@ def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentCon
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()  # "#" inside a value is kept
             if not line:
                 continue
             if "=" not in line:

@@ -12,14 +12,15 @@ When ``reefl run`` has a helper process (see ``wants_helper``), every round
 from round 1 on hands it a budget-balanced share of its clients
 (``helper_share``) and every evaluation the back half of its test batches;
 the bits are the same as in one process. Direct calls of ``evaluate``,
-``run_round`` and ``run_rounds`` run in this process.
+``run_round`` and ``run_rounds`` run in this process. ``run_rounds`` yields
+each report as its round ends, for ``write_metrics_csv`` to put on disk.
 """
 from __future__ import annotations
 
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,15 +33,7 @@ from .errors import (
 from .helper import Helper
 from .numerics import Tensor
 from .ree import count_correct, init_classifier, init_ree
-from .training import (
-    MODE_FROZEN,
-    MODE_FULL,
-    TrainConfig,
-    cosine_lr,
-    eta_schedule,
-    local_train,
-    trainable_tensors,
-)
+from .training import TrainConfig, cosine_lr, eta_schedule, local_train, trainable_tensors
 
 BYTES_PER_PARAM = 4  # 32-bit transfer encoding
 
@@ -80,7 +73,6 @@ class RoundReport:
     round_index: int
     sampled: list
     exit_accuracy: Optional[np.ndarray]
-    mean_accuracy: Optional[float]
     train_loss_mean: float
     bytes_up: int
     bytes_down: int
@@ -187,8 +179,6 @@ def comm_cost(view: Model, mode: str) -> int:
     Frozen mode moves only the shared exit stack (the backbone never leaves
     the server); full mode adds the view's blocks and embeddings.
     """
-    if mode not in (MODE_FULL, MODE_FROZEN):
-        raise ConfigError(f"unknown comm mode {mode!r}")
     return BYTES_PER_PARAM * sum(t.data.size for t in trainable_tensors(view, mode).values())
 
 
@@ -398,7 +388,6 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     bytes_moved = sum(comm_cost(_covered(state.model, c.budget), train_cfg.mode) for c in clients)
 
     accuracy = None
-    mean_acc = None
     if round_t % cfg["federation.eval_interval"] == 0:
         try:
             accuracy = evaluate(state.model, state.test_set, modulation=modulation, helper=helper)
@@ -406,13 +395,11 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
             raise DivergenceError(
                 f"non-finite output evaluating the global model after round {round_t}"
             ) from exc
-        mean_acc = float(accuracy.mean())
 
     return RoundReport(
         round_index=round_t,
         sampled=sampled,
         exit_accuracy=accuracy,
-        mean_accuracy=mean_acc,
         train_loss_mean=float(np.mean([state.clients[cid].last_train_loss for cid in sampled])),
         bytes_up=bytes_moved,
         bytes_down=bytes_moved,
@@ -421,8 +408,11 @@ def run_round(state: ServerState, round_t: int) -> RoundReport:
     )
 
 
-def write_metrics_csv(path, reports: list, num_exits: int) -> None:
-    """One row per evaluated round; fixed column set."""
+def write_metrics_csv(path, reports: Iterable[RoundReport], num_exits: int) -> Optional[RoundReport]:
+    """Write the header, then one row per evaluated round of ``reports`` as
+    each arrives, flushing each line so that it is on disk however the run
+    ends; the last evaluated report, or None. Fixed column set."""
+    last = None
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -430,6 +420,7 @@ def write_metrics_csv(path, reports: list, num_exits: int) -> None:
             + [f"exit_{e}_acc" for e in range(1, num_exits + 1)]
             + ["mean_acc", "train_loss_mean", "bytes_up", "bytes_down", "eta", "lr"]
         )
+        f.flush()
         for report in reports:
             if report.exit_accuracy is None:
                 continue
@@ -437,7 +428,7 @@ def write_metrics_csv(path, reports: list, num_exits: int) -> None:
                 [report.round_index]
                 + [f"{a:.6f}" for a in report.exit_accuracy]
                 + [
-                    f"{report.mean_accuracy:.6f}",
+                    f"{report.exit_accuracy.mean():.6f}",
                     f"{report.train_loss_mean:.6f}",
                     report.bytes_up,
                     report.bytes_down,
@@ -445,8 +436,14 @@ def write_metrics_csv(path, reports: list, num_exits: int) -> None:
                     f"{report.lr:.8f}",
                 ]
             )
+            f.flush()
+            last = report
+    return last
 
 
-def run_rounds(state: ServerState) -> list[RoundReport]:
-    """Every configured round, in order, from a built server."""
-    return [run_round(state, t) for t in range(1, state.cfg["federation.total_rounds"] + 1)]
+def run_rounds(state: ServerState) -> Iterator[RoundReport]:
+    """Every configured round, in order, from a built server; each report is
+    yielded as its round ends. Each round calls this module's ``run_round``
+    as it is bound then, so a wrapper set on the module sees every round."""
+    for t in range(1, state.cfg["federation.total_rounds"] + 1):
+        yield run_round(state, t)

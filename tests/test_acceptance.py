@@ -91,9 +91,8 @@ def criterion7_config(seed, modulation=True, kd=True):
 def _final_mean_accuracy(cfg):
     from reefl.federation import build_server, run_rounds
 
-    reports = run_rounds(build_server(cfg))
-    final = [r for r in reports if r.exit_accuracy is not None][-1]
-    return final.mean_accuracy
+    final = [r for r in run_rounds(build_server(cfg)) if r.exit_accuracy is not None][-1]
+    return float(final.exit_accuracy.mean())
 
 
 def _criterion7_job(args):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import reefl
+from reefl import federation
 from reefl.cli import main
 from reefl.config import parse_config
 from reefl.errors import ConfigError
@@ -102,12 +103,14 @@ def test_comments_and_blanks_ok(tmp_path):
 
 
 def test_resolved_text_roundtrip(tmp_path):
-    cfg = parse_config(overrides=["train.lr0=0.01"])
+    # a "#" that neither begins a line nor follows whitespace is part of the value
+    cfg = parse_config(overrides=["train.lr0=0.01", "output_dir=runs/exp#1", "data.path=data/a#b.ds"])
     text = cfg.resolved_text()
     path = tmp_path / "resolved.cfg"
     path.write_text(text)
     cfg2 = parse_config(path)
     assert cfg2.values == cfg.values
+    assert (cfg2["output_dir"], cfg2["data.path"]) == ("runs/exp#1", "data/a#b.ds")
 
 
 # -- run command -----------------------------------------------------------------
@@ -126,6 +129,49 @@ def test_run_smoke_and_rerun_identical(tmp_path):
     assert (out1 / "config.resolved").exists()
     header = (out1 / "metrics.csv").read_text().splitlines()[0]
     assert header == "round,exit_1_acc,exit_2_acc,mean_acc,train_loss_mean,bytes_up,bytes_down,eta,lr"
+
+
+class Stop(BaseException):
+    """Not an ``Exception``, as a hook's own stop signal may be, so ``main`` lets it through."""
+
+
+def stop_in_round(monkeypatch, stop_round, before_stop=lambda: None):
+    """Make ``federation.run_round`` call ``before_stop`` and raise ``Stop`` in ``stop_round``."""
+    run = federation.run_round
+
+    def stopping_round(state, round_t):
+        if round_t == stop_round:
+            before_stop()
+            raise Stop
+        return run(state, round_t)
+
+    monkeypatch.setattr(federation, "run_round", stopping_round)
+
+
+def test_rows_are_on_disk_while_the_run_goes_on(tmp_path, monkeypatch):
+    assert main(tiny_args(tmp_path / "whole", **{"federation.total_rounds": 5})) == 0
+    whole = (tmp_path / "whole" / "metrics.csv").read_bytes()
+    metrics = tmp_path / "cut" / "metrics.csv"
+    seen = []
+    stop_in_round(monkeypatch, 4, lambda: seen.append(metrics.read_bytes() if metrics.exists() else None))
+    with pytest.raises(Stop):
+        main(tiny_args(tmp_path / "cut", **{"federation.total_rounds": 5}))
+    assert seen[0] is not None, "no metrics.csv on disk in round 4"
+    lines = seen[0].decode().splitlines()
+    assert lines[0].startswith("round,") and [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    assert whole.startswith(seen[0]) and seen[0].endswith(b"\n")
+    assert metrics.read_bytes() == seen[0]  # the stopped run leaves its rows as they were
+
+
+def test_rerun_that_stops_leaves_no_earlier_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(tiny_args(out)) == 0
+    assert (out / "checkpoint.ckpt").exists()
+    stop_in_round(monkeypatch, 2)
+    with pytest.raises(Stop):
+        main(tiny_args(out))
+    assert not (out / "checkpoint.ckpt").exists()
+    assert [line.split(",")[0] for line in (out / "metrics.csv").read_text().splitlines()] == ["round", "1"]
 
 
 def test_run_invalid_config_exit_2_no_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The helper process: the same bits, typed failures, no stray processes."""
 import ctypes
+import itertools
 import os
 import signal
 import subprocess
@@ -17,9 +18,11 @@ from reefl.cli import main
 from reefl.config import parse_config
 from reefl.data import Example, synth_dataset
 from reefl.errors import DivergenceError, ReeflError
-from reefl.federation import build_server, eval_batch_size, evaluate, helper_share, run_round
+from reefl.federation import (
+    build_server, eval_batch_size, evaluate, helper_share, run_round, run_rounds, write_metrics_csv,
+)
 from reefl.helper import Helper
-from test_cli import TINY, cli_env
+from test_cli import TINY, Stop, cli_env, stop_in_round
 from test_federation import small_model
 
 # TINY with 20% of the data for training: 76 test samples, two evaluation
@@ -36,8 +39,8 @@ def run_args(out_dir, **extra) -> list[str]:
     return ["run"] + [f"--{k}={v}" for k, v in kw.items()]
 
 
-def shared_state():
-    return build_server(parse_config(overrides=[f"{k}={v}" for k, v in SHARED.items()]))
+def shared_state(**extra):
+    return build_server(parse_config(overrides=[f"{k}={v}" for k, v in {**SHARED, **extra}.items()]))
 
 
 @pytest.fixture
@@ -212,21 +215,10 @@ def test_no_helper_remains_after_main_returns(tmp_path, started):
     assert sent == {"train_clients": [2] * rounds, "count_correct": [1] * rounds}
 
 
-class Stop(BaseException):
-    """Not an ``Exception``, as a hook's own stop signal may be."""
-
-
 @multi_cpu
 def test_no_helper_remains_after_a_round_raises(tmp_path, started, monkeypatch):
     helpers, sent = started
-    run = federation.run_round
-
-    def stop_in_round_2(state, round_t):
-        if round_t == 2:
-            raise Stop
-        return run(state, round_t)
-
-    monkeypatch.setattr(federation, "run_round", stop_in_round_2)
+    stop_in_round(monkeypatch, 2)
     with pytest.raises(Stop):
         main(run_args(tmp_path / "out"))
     assert sent == {"train_clients": [2], "count_correct": [1]}
@@ -274,6 +266,35 @@ def test_helper_exits_within_2_s_of_its_parent_being_killed(tmp_path):
     finally:
         parent.kill()
         parent.wait(timeout=60)
+
+
+@multi_cpu
+def test_killed_run_keeps_whole_rows_equal_to_those_of_a_run_stopped_there(tmp_path):
+    long = {"federation.total_rounds": 100000}
+    metrics = tmp_path / "killed" / "metrics.csv"
+    run = subprocess.Popen([sys.executable, "-m", "reefl.cli", *run_args(tmp_path / "killed", **long)],
+                           env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not metrics.exists() or metrics.read_bytes().count(b"\n") < 3:  # the header and two rows
+            assert run.poll() is None and time.monotonic() < deadline, "no second row"
+            time.sleep(0.01)
+        run.send_signal(signal.SIGKILL)
+        run.wait(timeout=60)
+    finally:
+        run.kill()
+        run.wait(timeout=60)
+    # the helper, which holds the file open from its fork, never writes to it
+    written = metrics.read_bytes()
+    lines = written.decode().splitlines()
+    assert written.endswith(b"\r\n") and len({line.count(",") for line in lines}) == 1
+    assert lines[0].startswith("round,") and lines.count(lines[0]) == 1
+    rounds = len(lines) - 1
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, rounds + 1))
+    state = shared_state(**long)
+    stopped = tmp_path / "stopped.csv"
+    write_metrics_csv(stopped, itertools.islice(run_rounds(state), rounds), state.model.config.num_exits)
+    assert stopped.read_bytes() == written
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to find the helper")

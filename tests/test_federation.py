@@ -433,10 +433,7 @@ def test_exclude_underbudget_samples_only_full():
 
 
 def test_run_experiment_deterministic():
-    outs = []
-    for _ in range(2):
-        reports = run_rounds(build_server(cfg_overrides()))
-        outs.append(reports)
+    outs = [list(run_rounds(build_server(cfg_overrides()))) for _ in range(2)]
     for ra, rb in zip(*outs):
         np.testing.assert_array_equal(ra.exit_accuracy, rb.exit_accuracy)
         assert ra.train_loss_mean == rb.train_loss_mean
