@@ -29,7 +29,6 @@ from .numerics import (
     softmax,
 )
 
-LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 4
 
@@ -216,14 +215,14 @@ def msa_forward(zq: Tensor, zkv: Tensor, params: dict, prefix: str, heads: int) 
     return matmul(merged, params[prefix + "wo"]), attn
 
 
-def mlp_residual(zbar: Tensor, params: dict, prefix: str, eps: float = LN_EPS) -> Tensor:
+def mlp_residual(zbar: Tensor, params: dict, prefix: str) -> Tensor:
     """The block's second half: zbar + MLP(LN2(zbar)), row by row."""
-    h = layer_norm(zbar, params[prefix + "ln2_gamma"], params[prefix + "ln2_beta"], eps)
+    h = layer_norm(zbar, params[prefix + "ln2_gamma"], params[prefix + "ln2_beta"])
     return zbar + matmul(gelu(matmul(h, params[prefix + "mlp_w1"])), params[prefix + "mlp_w2"])
 
 
-def block_forward(z: Tensor, params: dict, prefix: str, heads: int, eps: float = LN_EPS) -> tuple[Tensor, Tensor]:
+def block_forward(z: Tensor, params: dict, prefix: str, heads: int) -> tuple[Tensor, Tensor]:
     """The pre-norm block named ``prefix``; shape preserved. Returns (tokens, attention)."""
-    normed = layer_norm(z, params[prefix + "ln1_gamma"], params[prefix + "ln1_beta"], eps)
+    normed = layer_norm(z, params[prefix + "ln1_gamma"], params[prefix + "ln1_beta"])
     attn_out, attn = msa_forward(normed, normed, params, prefix, heads)
-    return mlp_residual(z + attn_out, params, prefix, eps), attn
+    return mlp_residual(z + attn_out, params, prefix), attn

@@ -98,8 +98,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_partition(args) -> int:
     examples = load_dataset(args.dataset)
-    labels = [ex.label for ex in examples]
-    assignment = lda_partition(labels, args.clients, args.alpha, seed=args.seed)
+    assignment = lda_partition(examples.label, args.clients, args.alpha, seed=args.seed)
     write_partition_manifest(args.output, assignment)
     sizes = sorted(len(p) for p in assignment)
     print(f"wrote manifest for {args.clients} clients to {args.output} (sizes {sizes[0]}..{sizes[-1]})")

@@ -155,6 +155,9 @@ def _set_value(values: dict, key: str, raw: str, origin: str) -> None:
         raise ConfigError(f"bad value for {key!r} ({origin}): {exc}") from exc
     if typ is float and not math.isfinite(values[key]):
         raise ConfigError(f"bad value for {key!r} ({origin}): {values[key]} is not finite")
+    # config.resolved must read back the same value: one line, no comment start
+    if typ is str and (len(values[key].splitlines()) > 1 or re.search(r"\s#", values[key])):
+        raise ConfigError(f"bad value for {key!r} ({origin}): {values[key]!r} holds a line break or ' #'")
 
 
 def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:

@@ -1,5 +1,9 @@
 """Synthetic classification data, Dirichlet client partitioning, and disk IO.
 
+An example set is one record array (``examples``) with an ``image`` field
+([C,H,W] float32 in [0,1]) and a ``label`` field (int64); clients, test
+sets and batches are index selections or slices of one.
+
 Images are class-conditional base patterns plus Gaussian pixel noise,
 quantized to the 8-bit grid so that the on-disk uint8 format round-trips
 exactly. Client splits use the common label-Dirichlet construction: one
@@ -9,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +21,21 @@ from .errors import ConfigError, FormatError, PartitionError, SplitError
 
 DATASET_MAGIC = b"REEFLDS1"
 _HEADER = struct.Struct("<5i")  # K, C, H, W, N
-_LABEL = struct.Struct("<i")
 MAX_PARTITION_RETRIES = 100
 DEFAULT_NOISE = 0.25
 
 
-@dataclass
-class Example:
-    image: np.ndarray  # [C,H,W] float32 in [0,1]
-    label: int
+def examples(images, labels) -> np.recarray:
+    """The example set of ``images`` [N,C,H,W] and their ``labels`` [N]."""
+    images = np.asarray(images, dtype=np.float32)
+    out = np.recarray(len(images), dtype=[("image", np.float32, images.shape[1:]), ("label", np.int64)])
+    out.image, out.label = images, labels
+    return out
+
+
+def _file_records(shape: tuple) -> np.dtype:
+    """One on-disk record: a little-endian int32 label, then the uint8 pixels."""
+    return np.dtype([("label", "<i4"), ("pixels", np.uint8, shape)])
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:
@@ -40,8 +49,9 @@ def synth_dataset(
     channels: int = 1,
     noise: float = DEFAULT_NOISE,
     rng: np.random.Generator | None = None,
-) -> list[Example]:
-    """Class-conditional patterns + pixel noise, quantized to uint8 levels."""
+) -> np.recarray:
+    """Class-conditional patterns + pixel noise, quantized to uint8 levels,
+    in class order; one noise draw, class-major."""
     if num_classes < 2:
         raise ConfigError("need at least 2 classes")
     for name, value in (("image_size", image_size), ("channels", channels)):
@@ -52,12 +62,8 @@ def synth_dataset(
     rng = rng or np.random.default_rng(0)
     shape = (channels, image_size, image_size)
     bases = rng.uniform(0.0, 1.0, size=(num_classes,) + shape)
-    examples = []
-    for k in range(num_classes):
-        for _ in range(per_class):
-            img = bases[k] + noise * rng.standard_normal(shape)
-            examples.append(Example(image=_quantize(img), label=k))
-    return examples
+    noisy = bases[:, None] + noise * rng.standard_normal((num_classes, per_class) + shape)
+    return examples(_quantize(noisy).reshape((-1,) + shape), np.repeat(np.arange(num_classes), per_class))
 
 
 def _assign_by_proportions(class_indices, proportions, rng) -> list[list[int]]:
@@ -70,7 +76,7 @@ def _assign_by_proportions(class_indices, proportions, rng) -> list[list[int]]:
         weights = weights / weights.sum()
         cuts = (np.cumsum(weights) * len(idx)).astype(int)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):
-            out[client].extend(int(i) for i in chunk)
+            out[client].extend(chunk.tolist())
     return out
 
 
@@ -104,34 +110,30 @@ def lda_partition(labels, num_clients: int, alpha: float, seed: int = 0) -> list
     )
 
 
-def split_train_test(examples: list, ratio: float, rng: np.random.Generator):
+def split_train_test(data: np.recarray, ratio: float, rng: np.random.Generator):
     """Shuffled disjoint split; at least one example lands on each side."""
-    n = len(examples)
+    n = len(data)
     if n < 2:
         raise SplitError(f"cannot split {n} example(s) into train and test")
     order = rng.permutation(n)
     train_size = min(int(np.ceil(ratio * n)), n - 1)
-    train = [examples[i] for i in order[:train_size]]
-    test = [examples[i] for i in order[train_size:]]
-    return train, test
+    return data[order[:train_size]], data[order[train_size:]]
 
 
 # -- on-disk format -------------------------------------------------------------
 
 
-def save_dataset(path, examples: list, num_classes: int) -> None:
-    if not examples:
+def save_dataset(path, data: np.recarray, num_classes: int) -> None:
+    if not len(data):
         raise ConfigError("refusing to write an empty dataset")
-    c, h, w = examples[0].image.shape
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(_HEADER.pack(num_classes, c, h, w, len(examples)))
-        for ex in examples:
-            f.write(_LABEL.pack(ex.label))
-            f.write(np.round(ex.image * 255.0).astype(np.uint8).tobytes())
+    shape = data.image.shape[1:]
+    records = np.empty(len(data), dtype=_file_records(shape))
+    records["label"] = data.label
+    records["pixels"] = np.round(data.image * 255.0).astype(np.uint8)
+    Path(path).write_bytes(DATASET_MAGIC + _HEADER.pack(num_classes, *shape, len(data)) + records.tobytes())
 
 
-def load_dataset(path) -> list[Example]:
+def load_dataset(path) -> np.recarray:
     """Read the record format; raises FormatError with the byte offset."""
     blob = Path(path).read_bytes()
     if blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
@@ -145,22 +147,19 @@ def load_dataset(path) -> list[Example]:
     offset += _HEADER.size
     if min(num_classes, c, h, w, n) < 1:
         raise FormatError(f"invalid header fields at offset {len(DATASET_MAGIC)}")
-    record = _LABEL.size + c * h * w
-    expected = offset + n * record
+    record = _file_records((c, h, w))
+    expected = offset + n * record.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"truncated at offset {len(blob)}: expected {expected} bytes total, got {len(blob)}"
         )
-    records = np.frombuffer(
-        blob, dtype=[("label", "<i4"), ("pixels", np.uint8, (c, h, w))], count=n, offset=offset
-    )
+    records = np.frombuffer(blob, dtype=record, count=n, offset=offset)
     labels = records["label"]
     bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
     if bad.size:
         i = bad[0]
-        raise FormatError(f"label {labels[i]} >= {num_classes} classes at offset {offset + i * record}")
-    images = records["pixels"].astype(np.float32) / 255.0
-    return [Example(image=image, label=int(label)) for image, label in zip(images, labels)]
+        raise FormatError(f"label {labels[i]} >= {num_classes} classes at offset {offset + i * record.itemsize}")
+    return examples(records["pixels"].astype(np.float32) / 255.0, labels)
 
 
 def write_partition_manifest(path, assignment: list[list[int]]) -> None:

@@ -7,7 +7,10 @@ private RNG stream, then averages every returned name, weighted by the
 sample count of exactly the clients whose budget covers it, in sampled
 order.
 
-Evaluation scores every exit of the global model on the pooled test set.
+Each client's data is its index selection of one example set (see
+``data.examples``), split into a training part, kept on the client, and a
+test part; the test set is the clients' test parts concatenated.
+Evaluation scores every exit of the global model on slices of it.
 When ``reefl run`` has a helper process (see ``wants_helper``), every round
 from round 1 on hands it a budget-balanced share of its clients
 (``helper_share``) and every evaluation the back half of its test batches;
@@ -19,14 +22,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .backbone import MLP_RATIO, ModelConfig, covering_budget, init_backbone
 from .config import ExperimentConfig
-from .data import Example, lda_partition, load_dataset, split_train_test, synth_dataset
+from .data import lda_partition, load_dataset, split_train_test, synth_dataset
 from .errors import (
     AggregationError, BudgetError, ConfigError, DivergenceError, InputError, NonFiniteError, ReeflError,
 )
@@ -63,7 +66,7 @@ class Model:
 class ClientState:
     id: int
     budget: int
-    train: list = field(default_factory=list)
+    train: np.recarray  # this client's training examples
     estimate: Optional[np.ndarray] = None  # per-exit running CE estimate
     last_train_loss: float = 0.0
 
@@ -203,7 +206,7 @@ def eval_batch_size(config: ModelConfig, dtype=np.float32) -> int:
 
 def evaluate(
     model: Model,
-    test_set: list,
+    test_set: np.recarray,
     modulation: bool = True,
     batch_size: int | None = None,
     helper: Optional[Helper] = None,
@@ -221,24 +224,19 @@ def evaluate(
     half of the batches while this process scores the front half; the
     batches, and so the accuracies, are the same as without it.
     """
-    if not test_set:
+    if not len(test_set):
         raise ConfigError("empty test set")
     if batch_size is None:
         batch_size = eval_batch_size(model.config, model.params["patch_embed"].dtype)
-    chunks = [test_set[s : s + batch_size] for s in range(0, len(test_set), batch_size)]
-    split = (len(chunks) + 1) // 2 if helper is not None else len(chunks)
-    shared = [_stacked(c) for c in chunks[split:]]
+    batches = [test_set[s : s + batch_size] for s in range(0, len(test_set), batch_size)]
+    split = (len(batches) + 1) // 2 if helper is not None else len(batches)
+    shared = batches[split:]
     if shared:
         helper.submit(count_correct, model, shared, modulation)
-    correct = count_correct(model, map(_stacked, chunks[:split]), modulation)
+    correct = count_correct(model, batches[:split], modulation)
     if shared:
         correct += helper.result()
     return correct / len(test_set)
-
-
-def _stacked(examples: list) -> tuple[np.ndarray, np.ndarray]:
-    """One batch's images and labels."""
-    return np.stack([ex.image for ex in examples]), np.array([ex.label for ex in examples])
 
 
 # -- round loop ------------------------------------------------------------------
@@ -249,7 +247,7 @@ class ServerState:
     cfg: ExperimentConfig
     model: Model
     clients: list
-    test_set: list
+    test_set: np.recarray
     train_cfg: TrainConfig
     helper: Optional[Helper] = None  # set by ``reefl run``; see ``wants_helper``
 
@@ -293,7 +291,7 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
     """Materialize data, partition, budgets, and the initial global model."""
     seed = cfg["seed"]
     if cfg["data.source"] == "synthetic":
-        examples = synth_dataset(
+        data = synth_dataset(
             cfg["data.num_classes"],
             cfg["data.per_class"],
             image_size=cfg["data.image_size"],
@@ -301,35 +299,32 @@ def build_server(cfg: ExperimentConfig) -> ServerState:
             noise=cfg["data.noise"],
             rng=rng_for(seed, _D_DATA),
         )
-        num_classes = cfg["data.num_classes"]
     else:
-        examples = load_dataset(cfg["data.path"])
+        data = load_dataset(cfg["data.path"])
         # One file holds one image shape; a mismatch fails here, before any work.
-        shape = examples[0].image.shape
+        shape = data.image.shape[1:]
         expected = (cfg["data.channels"], cfg["data.image_size"], cfg["data.image_size"])
         if shape != expected:
             raise InputError(
                 f"dataset images have [C,H,W] shape {shape}, but the model expects {expected}"
             )
-        num_classes = int(max(ex.label for ex in examples)) + 1
+        num_classes = int(data.label.max()) + 1
         if num_classes > cfg["model.num_classes"]:
             raise ConfigError(
                 f"dataset has {num_classes} classes but model.num_classes={cfg['model.num_classes']}"
             )
 
-    labels = [ex.label for ex in examples]
     partition_seed = int(np.random.SeedSequence([seed, _D_PARTITION]).generate_state(1)[0])
-    assignment = lda_partition(labels, cfg["federation.num_clients"], cfg["data.alpha"], seed=partition_seed)
+    assignment = lda_partition(data.label, cfg["federation.num_clients"], cfg["data.alpha"], seed=partition_seed)
 
     config = cfg.model_config()
     budgets = assign_budgets(cfg["federation.num_clients"], config.exit_blocks)
-    clients = []
-    test_set: list[Example] = []
+    clients, tests = [], []
     for cid, indices in enumerate(assignment):
-        own = [examples[i] for i in indices]
-        train, test = split_train_test(own, cfg["data.split_ratio"], rng_for(seed, _D_SPLIT, cid))
+        train, test = split_train_test(data[indices], cfg["data.split_ratio"], rng_for(seed, _D_SPLIT, cid))
         clients.append(ClientState(id=cid, budget=budgets[cid], train=train))
-        test_set.extend(test)
+        tests.append(test)
+    test_set = np.concatenate(tests).view(np.recarray)
 
     model = init_global_model(config, rng_for(seed, _D_MODEL))
     return ServerState(cfg=cfg, model=model, clients=clients, test_set=test_set, train_cfg=cfg.train_config())

@@ -189,13 +189,13 @@ def forward_with_exits(view, images: np.ndarray, modulation: bool = True) -> For
 
 def count_correct(view, batches, modulation: bool = True) -> np.ndarray:
     """Correct top-1 predictions of every exit, as int64 counts, over
-    ``(images, labels)`` batches run forward without a graph."""
+    example-set batches (see ``data.examples``) run forward without a graph."""
     correct = np.zeros(view.config.num_exits, dtype=np.int64)
     with no_grad():
-        for images, labels in batches:
-            trace = forward_with_exits(view, images, modulation)
+        for batch in batches:
+            trace = forward_with_exits(view, batch.image, modulation)
             for e, logits in enumerate(trace.exit_logits):
-                correct[e] += int((np.argmax(logits.data, axis=1) == labels).sum())
+                correct[e] += int((np.argmax(logits.data, axis=1) == batch.label).sum())
     return correct
 
 

@@ -168,7 +168,7 @@ def local_train(
     a clipped SGD step at the round's learning rate. The client's running
     estimate persists on the client state across rounds.
     """
-    if not client.train:
+    if not len(client.train):
         raise InputError(f"client {client.id} has no training data")
     lr = cosine_lr(round_t, cfg)
     eta = eta_schedule(round_t, cfg)
@@ -182,12 +182,10 @@ def local_train(
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            images = np.stack([client.train[i].image for i in idx])
-            labels = np.array([client.train[i].label for i in idx])
+            batch = client.train[order[start : start + cfg.batch_size]]
             try:
-                trace = forward_with_exits(view, images, modulation)
-                ces = exit_ce_losses(trace, labels, expected=expected_exits)
+                trace = forward_with_exits(view, batch.image, modulation)
+                ces = exit_ce_losses(trace, batch.label, expected=expected_exits)
                 client.estimate = update_running_estimate(
                     client.estimate, [c.item() for c in ces], cfg.zeta
                 )

@@ -111,6 +111,11 @@ def test_resolved_text_roundtrip(tmp_path):
     cfg2 = parse_config(path)
     assert cfg2.values == cfg.values
     assert (cfg2["output_dir"], cfg2["data.path"]) == ("runs/exp#1", "data/a#b.ds")
+    # a value that would read back otherwise (cut at " #", or split into lines) is refused
+    for value in ("runs/a #1", "runs/a\t#1", "runs/a\nseed=5", "runs/a\rseed=5"):
+        with pytest.raises(ConfigError, match="output_dir"):
+            parse_config(overrides=[f"output_dir={value}"])
+    assert main(["run", "--output_dir=runs/a #1"]) == 2
 
 
 # -- run command -----------------------------------------------------------------

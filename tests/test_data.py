@@ -1,9 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import label_entropy
 from reefl.data import (
-    Example,
+    examples,
     lda_partition,
     load_dataset,
     save_dataset,
@@ -39,6 +42,17 @@ def test_synth_deterministic():
     for ea, eb in zip(a, b):
         np.testing.assert_array_equal(ea.image, eb.image)
         assert ea.label == eb.label
+
+
+def test_synth_matches_per_example_draws():
+    # reference: one base draw, then one noise draw per example, class by class
+    rng = np.random.default_rng(3)
+    bases = rng.uniform(0.0, 1.0, size=(3, 2, 4, 4))
+    want = [(bases[k] + 0.3 * rng.standard_normal((2, 4, 4)), k) for k in range(3) for _ in range(5)]
+    data = synth_dataset(3, 5, image_size=4, channels=2, noise=0.3, rng=np.random.default_rng(3))
+    for ex, (img, label) in zip(data, want, strict=True):
+        np.testing.assert_array_equal(ex.image, (np.round(np.clip(img, 0, 1) * 255.0) / 255.0).astype(np.float32))
+        assert ex.label == label
 
 
 def test_synth_pixels_in_unit_range():
@@ -164,10 +178,11 @@ def test_split_minimum_test_guarantee():
 
 def test_split_disjoint_exhaustive():
     data = synth_dataset(3, 7, image_size=8, rng=np.random.default_rng(8))
+    data.label = np.arange(len(data))  # each example named by its label
     train, test = split_train_test(data, 0.8, np.random.default_rng(9))
-    ids = sorted(id(ex) for ex in train + test)
-    assert ids == sorted(id(ex) for ex in data)
-    assert not set(id(e) for e in train) & set(id(e) for e in test)
+    np.testing.assert_array_equal(np.sort(np.concatenate([train.label, test.label])), data.label)
+    for part in (train, test):
+        np.testing.assert_array_equal(part.image, data.image[part.label])
 
 
 def test_split_too_small():
@@ -222,10 +237,30 @@ def test_pixel_scaling_endpoints(tmp_path):
     img = np.zeros((1, 4, 4), dtype=np.float32)
     img[0, 0, 0] = 1.0
     path = tmp_path / "px.ds"
-    save_dataset(path, [Example(img, 0), Example(img, 1)], num_classes=2)
+    save_dataset(path, examples(np.stack([img, img]), [0, 1]), num_classes=2)
     loaded = load_dataset(path)
     assert loaded[0].image[0, 0, 0] == 1.0
     assert loaded[0].image[0, 1, 1] == 0.0
+
+
+def _benchmark_writer():
+    """``write_dataset`` of the benchmark harness, a REEFLDS1 writer that shares no code with ``save_dataset``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_dataset
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_save_dataset_rewrites_the_bytes_of_an_independent_writer(tmp_path, channels):
+    path, again = tmp_path / "bench.ds", tmp_path / "again.ds"
+    overrides = {"data.source": "file", "data.path": str(path), "model.num_classes": 3,
+                 "data.per_class": 5, "data.image_size": 8, "data.channels": channels}
+    _benchmark_writer()(path, overrides, 11)
+    save_dataset(again, load_dataset(path), num_classes=3)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_partition_manifest(tmp_path):

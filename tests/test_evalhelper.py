@@ -16,7 +16,7 @@ from reefl import federation
 from reefl import helper as helper_module
 from reefl.cli import main
 from reefl.config import parse_config
-from reefl.data import Example, synth_dataset
+from reefl.data import synth_dataset
 from reefl.errors import DivergenceError, ReeflError
 from reefl.federation import (
     build_server, eval_batch_size, evaluate, helper_share, run_round, run_rounds, write_metrics_csv,
@@ -138,10 +138,7 @@ def test_divergence_in_both_shares_is_the_error_of_one_process(helper, first):
         mine = [i for i, t in enumerate(theirs) if not t]
         helpers = [i for i, t in enumerate(theirs) if t]
         for cid in (mine[0], helpers[-1]) if first == "here" else (helpers[0], mine[-1]):
-            example = state.clients[cid].train[0]
-            image = example.image.copy()
-            image[0, 0, 0] = np.inf
-            state.clients[cid].train[0] = Example(image, example.label)
+            state.clients[cid].train.image[0, 0, 0, 0] = np.inf
         return state
 
     with pytest.raises(DivergenceError) as alone:
@@ -177,10 +174,7 @@ def test_cli_run_matches_the_run_pinned_to_one_cpu(tmp_path):
 def test_overflow_in_the_helpers_half_is_a_divergence_naming_the_round(helper):
     state = shared_state()
     assert len(state.test_set) > eval_batch_size(state.model.config)
-    last = state.test_set[-1]
-    image = last.image.copy()
-    image[0, 0, 0] = np.inf  # a pixel that overflowed float32
-    state.test_set[-1] = Example(image, last.label)
+    state.test_set.image[-1, 0, 0, 0] = np.inf  # a pixel that overflowed float32
     state.helper = helper
     with pytest.raises(DivergenceError, match="evaluating the global model after round 1$"):
         run_round(state, 1)

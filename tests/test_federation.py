@@ -379,8 +379,22 @@ def test_evaluate_default_batch_lowers_the_memory_peak():
 
 
 def test_evaluate_empty_test_set():
-    with pytest.raises(ConfigError):
-        evaluate(small_model(seed=19), [])
+    data = synth_dataset(4, 2, image_size=8, rng=np.random.default_rng(19))
+    for empty in ([], data[:0]):
+        with pytest.raises(ConfigError, match="empty test set"):
+            evaluate(small_model(seed=19), empty)
+
+
+def test_evaluate_one_example():
+    from reefl.numerics import no_grad
+    from reefl.ree import forward_with_exits
+
+    model = small_model(seed=19)
+    one = synth_dataset(4, 2, image_size=8, rng=np.random.default_rng(19))[3:4]
+    with no_grad():
+        logits = forward_with_exits(model, one.image).exit_logits
+    want = [float(np.argmax(x.data[0]) == one[0].label) for x in logits]
+    np.testing.assert_array_equal(evaluate(model, one), want)
 
 
 def test_evaluate_memorization_reaches_ceiling():

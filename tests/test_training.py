@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ import pytest
 from conftest import make_view, traced_memory
 from gradcheck import grad_check
 from reefl import backbone
+from reefl.data import examples
 from reefl.errors import (
     ConfigError,
     DivergenceError,
+    InputError,
     NonFiniteError,
     ScheduleError,
     StateError,
@@ -39,23 +41,16 @@ from reefl.training import (
 
 @dataclass
 class FakeClient:
-    id: int = 0
-    train: list = field(default_factory=list)
+    id: int
+    train: np.recarray
     estimate: np.ndarray | None = None
 
 
-@dataclass
-class Sample:
-    image: np.ndarray
-    label: int
-
-
 def make_client(rng, n=8, image=8, classes=4, cid=0):
-    samples = [
-        Sample(rng.random((1, image, image)).astype(np.float32), int(rng.integers(classes)))
-        for _ in range(n)
-    ]
-    return FakeClient(id=cid, train=samples)
+    images, labels = zip(*[
+        (rng.random((1, image, image)).astype(np.float32), int(rng.integers(classes))) for _ in range(n)
+    ])
+    return FakeClient(id=cid, train=examples(np.stack(images), labels))
 
 
 def trace_with_logits(*logit_arrays):
@@ -467,6 +462,13 @@ def test_backward_starts_without_arrays_no_rule_reads(monkeypatch, mode):
     assert all(len(held[kind]) == 16 for kind in ("raw scores", "scaled scores", "gelu input"))
     assert seen["alive"] == dict.fromkeys(kinds, 0), seen["alive"]
     assert seen["peak"] <= 1.25 * seen["start"], seen
+
+
+def test_local_train_without_examples_raises_input_error():
+    client = make_client(np.random.default_rng(24), n=1, cid=5)
+    client.train = client.train[:0]
+    with pytest.raises(InputError, match="client 5 has no training data"):
+        local_train(client, make_view(depth=2), TrainConfig(total_rounds=5), 1, np.random.default_rng(25))
 
 
 def test_local_train_overflow_raises_divergence_naming_client_round_batch():
