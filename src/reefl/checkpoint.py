@@ -8,9 +8,9 @@ Layout (all integers little-endian):
 The config blob holds one ``key=value`` line per ``ModelConfig`` field, in
 field order: a tuple is written comma-joined and a bool as 0 or 1. The
 tensors are the model's flat parameter dict, sorted by name so the file is
-byte-reproducible. Loading checks the tensor names and shapes against the
-layout the config blob implies: a missing, unknown or misshapen tensor is a
-``FormatError``.
+byte-reproducible. A repeated tensor name or a NaN or Inf value is a
+``FormatError``, as is a missing, unknown or misshapen tensor for the
+layout that the config blob implies.
 """
 from __future__ import annotations
 
@@ -118,6 +118,8 @@ def load_named_tensors(path) -> tuple[dict, ModelConfig]:
         if len(blob) < offset + name_len:
             raise FormatError(f"truncated tensor name at offset {offset}")
         name = _decode(blob[offset : offset + name_len], offset, "tensor name")
+        if name in tensors:
+            raise FormatError(f"repeated tensor {name!r} at offset {offset - 4}")
         offset += name_len
         rank = read_u32()
         dims = tuple(read_u32() for _ in range(rank))
@@ -127,7 +129,10 @@ def load_named_tensors(path) -> tuple[dict, ModelConfig]:
             raise FormatError(
                 f"truncated tensor {name!r} at offset {offset}: expected {nbytes} bytes"
             )
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(dims).copy()
+        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise FormatError(f"tensor {name!r} holds NaN or Inf at offset {offset + 4 * np.isfinite(values).argmin()}")
+        tensors[name] = values.reshape(dims).copy()
         offset += nbytes
     return tensors, cfg
 

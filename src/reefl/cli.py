@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,10 @@ from .errors import ConfigError, InputError, ReeflError
 from .federation import build_server, run_rounds, wants_helper, write_metrics_csv
 from .helper import Helper
 from .ree import attention_maps, forward_with_exits
+
+# a run's glibc malloc settings: mallopt's M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3)
+TRIM_THRESHOLD = 256 << 20
+MMAP_THRESHOLD = 64 << 20
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[str]]:
@@ -42,8 +47,23 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], list[str]]:
     return overrides, rest
 
 
+def pin_heap() -> None:
+    """Keep freed activations in glibc's heap for the rest of the process and of
+    its forked helper, so that no batch faults them in again. Off glibc, a no-op."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-1, TRIM_THRESHOLD)
+        mallopt(-3, MMAP_THRESHOLD)
+
+
 def cmd_run(config_path, overrides) -> int:
     cfg = parse_config(config_path, overrides)
+    pin_heap()
     out_dir = Path(cfg["output_dir"])
     state = build_server(cfg)
     # A run that fails while loading or partitioning its data leaves no output directory.

@@ -217,8 +217,8 @@ def evaluate(
     graph, so its memory peak is the widest activation of one batch, and
     capping that at half the L2 cache keeps large models from setting the
     process's peak. Small models still get 64-sample batches, which amortise
-    the per-op overhead. Accuracies do not depend on the batch size, since
-    every op treats samples independently.
+    the per-op overhead. Logits are the same bits at batch sizes 2 to 64; at
+    1, numpy's vector-matrix product of a one-row operand may differ.
 
     Given a ``helper`` and at least two batches, the helper scores the back
     half of the batches while this process scores the front half; the

@@ -97,16 +97,18 @@ def test_checkpoint_bytes_match_golden_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
-def write_raw_checkpoint(path, model, tensors):
-    """A checkpoint of ``model``'s config blob holding exactly ``tensors``."""
+def tensor_record(name, data) -> bytes:
     u32 = struct.Struct("<I").pack
+    data = np.asarray(data, dtype="<f4")
+    out = [u32(len(name.encode())), name.encode(), u32(data.ndim)]
+    return b"".join(out + [u32(d) for d in data.shape] + [data.tobytes()])
+
+
+def write_raw_checkpoint(path, model, tensors):
+    """A checkpoint of ``model``'s config blob holding exactly ``tensors``, in their order."""
     blob = _model_config_blob(model.config).encode()
-    out = [CHECKPOINT_MAGIC, u32(CHECKPOINT_VERSION), u32(len(blob)), blob]
-    for name, data in tensors.items():
-        data = np.asarray(data, dtype="<f4")
-        out += [u32(len(name.encode())), name.encode(), u32(data.ndim)]
-        out += [u32(d) for d in data.shape] + [data.tobytes()]
-    path.write_bytes(b"".join(out))
+    out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
+    path.write_bytes(b"".join(out + [tensor_record(name, data) for name, data in tensors.items()]))
 
 
 def model_arrays(model):
@@ -143,4 +145,31 @@ def test_load_rejects_missing_tensor(tmp_path):
     path = tmp_path / "model.ckpt"
     write_raw_checkpoint(path, model, arrays)
     with pytest.raises(FormatError, match="missing tensor 'classifier.bias'"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_repeated_tensor(tmp_path):
+    model = make_model(seed=7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    good = path.read_bytes()
+    last = tensor_record("ree.z_meta", model.params["ree.z_meta"].data)
+    assert good.endswith(last)  # names are written sorted
+    path.write_bytes(good + last)
+    for load in (load_named_tensors, load_checkpoint):
+        with pytest.raises(FormatError, match=f"repeated tensor 'ree.z_meta' at offset {len(good)}$"):
+            load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_value(tmp_path, value):
+    model = make_model(seed=8)
+    arrays = model_arrays(model)
+    arrays["classifier.bias"] = arrays["classifier.bias"].copy()
+    arrays["classifier.bias"][2] = value
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, model, arrays)
+    # the value's offset: past the name, its rank and one dim, then two values
+    at = path.read_bytes().index(b"classifier.bias") + len("classifier.bias") + 4 + 4 + 4 * 2
+    with pytest.raises(FormatError, match=f"tensor 'classifier.bias' holds NaN or Inf at offset {at}$"):
         load_checkpoint(path)

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import reefl
-from reefl import federation
+from reefl import cli, federation
 from reefl.cli import main
 from reefl.config import parse_config
 from reefl.errors import ConfigError
+from reefl.helper import _blas_threads
 from reefl.training import TrainConfig
 
 
@@ -297,8 +298,19 @@ def tensor_dims_overflow_int64(good):
     return good[:start] + tensor, f"truncated tensor 'x' at offset {start + 21}"
 
 
+def last_tensor_repeated(good):
+    start = good.rindex(struct.pack("<I", len("ree.z_meta")) + b"ree.z_meta")
+    return good + good[start:], f"repeated tensor 'ree.z_meta' at offset {len(good)}"
+
+
+def last_value_inf(good):
+    at = len(good) - 4
+    return good[:at] + struct.pack("<f", float("inf")), f"tensor 'ree.z_meta' holds NaN or Inf at offset {at}"
+
+
 @pytest.mark.parametrize("corrupt", [
     blob_line_without_equals, blob_bad_utf8, tensor_name_bad_utf8, tensor_dims_overflow_int64,
+    last_tensor_repeated, last_value_inf,
 ])
 def test_inspect_malformed_checkpoint_exit_1(tmp_path, corrupt):
     out = tmp_path / "run"
@@ -495,3 +507,94 @@ def test_attention_dataset_of_other_image_size_exit_1(tmp_path):
     proc = run_cli("attention", "--checkpoint", str(ckpt), "--dataset", str(ds), "--samples", "0",
                    "--output", str(tmp_path / "attn.csv"))
     assert_clean_failure(proc, 1, "images have [C,H,W] shape (1, 12, 12), but the model expects (1, 8, 8)")
+
+
+# -- memory -------------------------------------------------------------------------
+
+# cross_silo's shapes (d=64 on 65 tokens, one client per budget), evaluated every round
+WIDE = {
+    "model.depth": 8, "model.dim": 64, "model.heads": 4, "model.patch_size": 4,
+    "model.num_classes": 4, "schedule.every_k": 2,
+    "data.num_classes": 4, "data.per_class": 32, "data.image_size": 32,
+    "data.alpha": 100.0, "data.split_ratio": 0.25, "train.batch_size": 4,
+    "federation.num_clients": 4, "federation.sample_fraction": 1.0,
+    "federation.total_rounds": 3, "federation.eval_interval": 1,
+}
+
+# ``reefl run`` as is ("pinned"), or with ``pin_heap`` a no-op ("unpinned"); it
+# prints the exit status and the minor page faults taken during ``main`` by
+# the run itself and by its helper, which count once the helper is reaped.
+COUNT_FAULTS = """
+import resource, sys
+from reefl import cli
+if sys.argv[1] == "unpinned":
+    cli.pin_heap = lambda: None
+faults = lambda who: resource.getrusage(who).ru_minflt
+own, children = faults(resource.RUSAGE_SELF), faults(resource.RUSAGE_CHILDREN)
+code = cli.main(sys.argv[2:])
+print(code, faults(resource.RUSAGE_SELF) - own, faults(resource.RUSAGE_CHILDREN) - children)
+"""
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.fixture(scope="module")
+def heap_arms(tmp_path_factory):
+    """The same run, unpinned and pinned, each in a fresh interpreter: its
+    output directory and its minor faults, {arm: {"run": n, "helper": n}}."""
+    if not on_glibc():
+        pytest.skip("mallopt is glibc's")
+    tmp = tmp_path_factory.mktemp("heap")
+    script = tmp / "count_faults.py"
+    script.write_text(COUNT_FAULTS)
+    faults = {}
+    for arm in ("unpinned", "pinned"):
+        args = ["run"] + [f"--{k}={v}" for k, v in {**WIDE, "output_dir": tmp / arm}.items()]
+        proc = subprocess.run([sys.executable, str(script), arm, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, own, helper = (int(v) for v in proc.stdout.split()[-3:])
+        assert code == 0, proc.stderr
+        faults[arm] = {"run": own, "helper": helper}
+    return tmp, faults
+
+
+helper_forks = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 or _blas_threads() is None,
+    reason="one CPU, or no BLAS thread-count setter: no helper starts",
+)
+
+
+@pytest.mark.parametrize("process", ["run", pytest.param("helper", marks=helper_forks)])
+def test_pinned_heap_halves_the_page_faults(heap_arms, process):
+    _, faults = heap_arms
+    assert faults["pinned"][process] <= faults["unpinned"][process] / 2, faults
+
+
+def test_pinned_heap_keeps_the_bits(heap_arms):
+    tmp, _ = heap_arms
+    for name in ("metrics.csv", "checkpoint.ckpt"):
+        assert (tmp / "pinned" / name).read_bytes() == (tmp / "unpinned" / name).read_bytes(), name
+
+
+def confstr_raises(monkeypatch):
+    def confstr(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "confstr", confstr)
+
+
+@pytest.mark.parametrize("off_glibc", [confstr_raises, lambda mp: mp.delattr(os, "confstr")],
+                         ids=["confstr_raises", "no_confstr"])
+def test_run_off_glibc_leaves_malloc_alone(tmp_path, monkeypatch, off_glibc):
+    assert main(tiny_args(tmp_path / "pinned")) == 0
+    off_glibc(monkeypatch)
+    monkeypatch.setattr(cli, "ctypes", None)  # a run that reached for mallopt would fail
+    assert main(tiny_args(tmp_path / "off")) == 0
+    for name in ("metrics.csv", "checkpoint.ckpt"):
+        assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "pinned" / name).read_bytes(), name

@@ -366,6 +366,28 @@ def test_evaluate_default_batch_gives_the_same_bits():
         np.testing.assert_array_equal(logits.data, np.concatenate([c[e].data for c in chunks]))
 
 
+def test_logits_do_not_depend_on_a_batch_of_two_or_more():
+    # A fresh model's shared block starts at zero (ree.wo, ree.mlp_w2), which
+    # hides rounding differences; here every zero-initialized tensor is drawn.
+    # A batch of one is left out: numpy's matmul of a one-row operand takes
+    # its vector-matrix path, whose bits may differ.
+    from reefl.numerics import no_grad
+    from reefl.ree import forward_with_exits
+
+    model, data = wide_model_and_data()
+    rng = np.random.default_rng(24)
+    for t in model.params.values():
+        if not t.data.any():
+            t.data[...] = 0.02 * rng.standard_normal(t.shape)
+    assert model.params["ree.wo"].data.any() and model.params["ree.mlp_w2"].data.any()
+    with no_grad():
+        whole = forward_with_exits(model, data.image).exit_logits
+        for size in (2, 15, 63):
+            part = forward_with_exits(model, data.image[:size]).exit_logits
+            for e, logits in enumerate(whole):
+                np.testing.assert_array_equal(part[e].data, logits.data[:size], err_msg=f"batch {size}, exit {e}")
+
+
 def test_evaluate_default_batch_lowers_the_memory_peak():
     model, data = wide_model_and_data()
 
