@@ -1,14 +1,17 @@
 """Command-line front-end: run experiments, dump diagnostics, manage data.
 
 Subcommands: run, attention, inspect-checkpoint, gen-data, partition.
-Config values come from an optional key=value file plus ``--key=value``
-overrides (e.g. ``--train.lr0=0.01``). Exit status: 0 on success, 2 for a
-config or usage error, 1 for any other ``ReeflError`` or ``OSError``; a
-failure prints one ``error:`` line. ``run`` may share its work with one
-helper process, forked from it in round 1 (see ``federation.wants_helper``);
-the outputs are the same bits. ``run`` flushes each evaluated round's
-``metrics.csv`` row as the round ends and writes ``checkpoint.ckpt`` after
-the last, so a failed or killed run keeps ``config.resolved`` and its rows.
+Config values come from an optional key=value file, then from ``run``'s own
+options: one per config key, given as ``--train.lr0=0.01`` or ``--train.lr0
+0.01``; the other subcommands take none. Exit status: 0 on success, 2 for a
+config or usage error, 1 for any other ``ReeflError`` or ``OSError``. A
+failure of the program's own prints exactly one ``error:`` line; an argparse
+usage error prints a ``usage:`` line before its ``error:`` line. ``run`` may
+share its work with one helper process, forked from it in round 1 (see
+``federation.wants_helper``); the outputs are the same bits. ``run`` flushes
+each evaluated round's ``metrics.csv`` row as the round ends and writes
+``checkpoint.ckpt`` after the last, so a failed or killed run keeps
+``config.resolved`` and its rows.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import describe_checkpoint, load_checkpoint, save_checkpoint
-from .config import REGISTRY, parse_config
+from .config import REGISTRY, format_value, parse_config
 from .data import lda_partition, load_dataset, save_dataset, synth_dataset, write_partition_manifest
 from .errors import ConfigError, InputError, ReeflError
 from .federation import build_server, run_rounds, wants_helper, write_metrics_csv
@@ -32,19 +35,6 @@ from .ree import attention_maps, forward_with_exits
 # a run's glibc malloc settings: mallopt's M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3)
 TRIM_THRESHOLD = 256 << 20
 MMAP_THRESHOLD = 64 << 20
-
-
-def _split_overrides(argv: list[str]) -> tuple[list[str], list[str]]:
-    """Pull config overrides (--section.key=value) out of the raw argv."""
-    overrides, rest = [], []
-    for token in argv:
-        body = token[2:] if token.startswith("--") else token
-        key = body.split("=", 1)[0]
-        if "=" in body and key in REGISTRY:
-            overrides.append(body)
-        else:
-            rest.append(token)
-    return overrides, rest
 
 
 def pin_heap() -> None:
@@ -129,8 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reefl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a federated experiment")
+    # Each config key is an option of ``run`` alone, matched exactly as in a config file.
+    run_p = sub.add_parser("run", help="run a federated experiment", allow_abbrev=False)
     run_p.add_argument("--config", default=None, help="key=value config file")
+    for key, (_, default) in REGISTRY.items():
+        run_p.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS, metavar="VALUE",
+                           help=f"default: {format_value(default) or '(empty)'}")
 
     attn_p = sub.add_parser("attention", help="dump per-block attention maps to CSV")
     attn_p.add_argument("--checkpoint", required=True)
@@ -164,11 +158,11 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit status, as the module docstring
     says; when stdout's reader has gone (``reefl inspect-checkpoint CKPT |
     head``), the status is 1 and nothing is written to stderr."""
-    raw = list(sys.argv[1:] if argv is None else argv)
-    overrides, rest = _split_overrides(raw)
-    args = build_parser().parse_args(rest)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            # the given keys, in argv order; parse_config parses and checks each value
+            overrides = [f"{key}={value}" for key, value in vars(args).items() if key in REGISTRY]
             code = cmd_run(args.config, overrides)
         elif args.command == "attention":
             try:

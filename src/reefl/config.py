@@ -34,7 +34,7 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(part) for part in raw.split(","))
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -126,8 +126,6 @@ class ExperimentConfig:
                     "data.num_classes must match model.num_classes "
                     f"({self['data.num_classes']} vs {self['model.num_classes']})"
                 )
-            if self["data.per_class"] < 1:
-                raise ConfigError("data.per_class must be >= 1")
         if not 0 < self["federation.sample_fraction"] <= 1:
             raise ConfigError("federation.sample_fraction must be in (0, 1]")
         if self["federation.eval_interval"] < 1:
@@ -141,7 +139,7 @@ class ExperimentConfig:
             raise ConfigError("data.split_ratio must be in (0, 1)")
 
     def resolved_text(self) -> str:
-        lines = [f"{key}={_format_value(self.values[key])}" for key in sorted(self.values)]
+        lines = [f"{key}={format_value(self.values[key])}" for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
 
@@ -163,8 +161,7 @@ def _set_value(values: dict, key: str, raw: str, origin: str) -> None:
 def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:
     """Defaults, then file, then overrides; validates the result.
 
-    ``overrides`` entries look like "train.lr0=0.01" (a leading "--" is
-    tolerated so CLI flags can be passed through untouched).
+    ``overrides`` entries look like "train.lr0=0.01".
     """
     values = {key: default for key, (_, default) in REGISTRY.items()}
     if path is not None:
@@ -183,10 +180,9 @@ def parse_config(path=None, overrides: list[str] | None = None) -> ExperimentCon
             key, raw = line.split("=", 1)
             _set_value(values, key.strip(), raw, origin=f"{path}:{lineno}")
     for item in overrides or []:
-        entry = item[2:] if item.startswith("--") else item
-        if "=" not in entry:
+        if "=" not in item:
             raise ConfigError(f"malformed override {item!r}, expected key=value")
-        key, raw = entry.split("=", 1)
+        key, raw = item.split("=", 1)
         _set_value(values, key.strip(), raw, origin="override")
     cfg = ExperimentConfig(values)
     cfg.validate()

@@ -54,7 +54,7 @@ def synth_dataset(
     in class order; one noise draw, class-major."""
     if num_classes < 2:
         raise ConfigError("need at least 2 classes")
-    for name, value in (("image_size", image_size), ("channels", channels)):
+    for name, value in (("per_class", per_class), ("image_size", image_size), ("channels", channels)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     if not np.isfinite(noise):

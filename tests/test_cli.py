@@ -10,7 +10,7 @@ import pytest
 import reefl
 from reefl import cli, federation
 from reefl.cli import main
-from reefl.config import parse_config
+from reefl.config import REGISTRY, format_value, parse_config
 from reefl.errors import ConfigError
 from reefl.helper import _blas_threads
 from reefl.training import TrainConfig
@@ -64,7 +64,7 @@ def test_every_train_field_is_a_config_key(f):
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("train.lr0=0.02\ntrain.batch_size=16\n")
-    cfg = parse_config(path, ["--train.lr0=0.01"])
+    cfg = parse_config(path, ["train.lr0=0.01"])
     assert cfg["train.lr0"] == 0.01
     assert cfg["train.batch_size"] == 16
 
@@ -246,6 +246,44 @@ def test_gen_data_and_partition(tmp_path):
     assert len(lines) == 1 + 60
 
 
+def test_gen_data_and_partition_take_their_seed_in_either_form(tmp_path):
+    def gen_data(name, *seed):
+        path = tmp_path / name
+        assert main(["gen-data", "--output", str(path), "--classes", "3", "--per-class", "20",
+                     "--image-size", "8", *seed]) == 0
+        return path.read_bytes()
+
+    def partition(name, *seed):
+        path = tmp_path / name
+        assert main(["partition", "--dataset", str(tmp_path / "a.ds"), "--clients", "5",
+                     "--alpha", "0.5", "--output", str(path), *seed]) == 0
+        return path.read_bytes()
+
+    assert gen_data("a.ds", "--seed=3") == gen_data("b.ds", "--seed", "3") != gen_data("c.ds")
+    assert partition("a.csv", "--seed=4") == partition("b.csv", "--seed", "4") != partition("c.csv")
+
+
+def test_run_takes_a_key_and_its_value_as_two_arguments(tmp_path):
+    out = tmp_path / "run"
+    resolved = []
+    for value in (["--train.lr0=0.01"], ["--train.lr0", "0.01"]):
+        assert main(tiny_args(out, **{"federation.total_rounds": 1}) + value) == 0
+        resolved.append((out / "config.resolved").read_text())
+    assert resolved[0] == resolved[1] and "train.lr0=0.01\n" in resolved[0]
+
+
+def test_run_help_names_every_key_with_its_default(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    missing = [
+        key for key, (_, default) in REGISTRY.items()
+        if f"--{key} VALUE" not in text or f"default: {format_value(default) or '(empty)'}" not in text
+    ]
+    assert not missing
+
+
 # -- malformed inputs end in an error line, never a traceback -----------------------
 
 
@@ -272,6 +310,15 @@ def assert_clean_failure(proc, code, message):
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], proc.stderr
+
+
+def assert_usage_error(proc, message):
+    """Exit 2, and stderr is argparse's ``usage:`` text, then one ``error:`` line holding ``message``."""
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: reefl"), proc.stderr
+    assert [i for i, line in enumerate(lines) if ": error: " in line] == [len(lines) - 1], proc.stderr
+    assert message in lines[-1] and "Traceback" not in proc.stderr, proc.stderr
 
 
 def checkpoint_header(blob: bytes) -> bytes:
@@ -357,6 +404,39 @@ def attention_inputs(tmp_path, **extra):
     return out / "checkpoint.ckpt", ds
 
 
+@pytest.fixture(scope="module")
+def shared_inputs(tmp_path_factory):
+    return attention_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gen-data", "--data.noise=0.9"),
+    ("partition", "--model.dim=8"),
+    ("attention", "--seed=1"),
+    ("inspect-checkpoint", "--train.lr0=0.01"),
+])
+def test_config_key_outside_run_is_a_usage_error(tmp_path, shared_inputs, command, key):
+    ckpt, ds = shared_inputs
+    out = tmp_path / "out"
+    own = {
+        "gen-data": ["--output", str(out)],
+        "partition": ["--dataset", str(ds), "--clients", "2", "--output", str(out)],
+        "attention": ["--checkpoint", str(ckpt), "--dataset", str(ds), "--samples", "0", "--output", str(out)],
+        "inspect-checkpoint": [str(ckpt)],
+    }[command]
+    proc = run_cli(command, *own, key)
+    assert_usage_error(proc, f"unrecognized arguments: {key}")
+    assert proc.stdout == "" and not out.exists()
+
+
+# a key must be spelled out, as in a config file, and given as an option
+@pytest.mark.parametrize("arg", ["--train.batch=4", "train.batch_size=4"])
+def test_run_key_prefix_or_bare_key_is_a_usage_error(tmp_path, arg):
+    out = tmp_path / "out"
+    assert_usage_error(run_cli(*tiny_args(out), arg), f"unrecognized arguments: {arg}")
+    assert not out.exists()
+
+
 def test_attention_misshapen_checkpoint_exit_1(tmp_path):
     from reefl.checkpoint import load_checkpoint
     from test_checkpoint import write_raw_checkpoint
@@ -413,6 +493,7 @@ def test_attention_non_integer_sample_exit_2(tmp_path):
     ("data.alpha=nan", "bad value for 'data.alpha' (override): nan is not finite"),
     ("train.clip=inf", "bad value for 'train.clip' (override): inf is not finite"),
     ("data.image_size=0", "image_size must be >= 1, got 0"),
+    ("data.per_class=0", "per_class must be >= 1, got 0"),
     ("federation.num_clients=1", "federation.num_clients=1 is fewer than 2 exits"),
     ("data.split_ratio=1", "data.split_ratio must be in (0, 1)"),
     ("data.alpha=0", "Dirichlet concentration must be positive and finite, got 0.0"),
@@ -436,6 +517,8 @@ def test_run_divergence_found_by_evaluation_exit_1(tmp_path):
     ("--image-size", "0", "image_size must be >= 1, got 0"),
     ("--channels", "-1", "channels must be >= 1, got -1"),
     ("--channels", "0", "channels must be >= 1, got 0"),
+    ("--per-class", "-1", "per_class must be >= 1, got -1"),
+    ("--per-class", "0", "per_class must be >= 1, got 0"),
     ("--noise", "nan", "noise must be finite, got nan"),
 ])
 def test_gen_data_image_without_pixels_exit_2(tmp_path, flag, value, message):

@@ -50,5 +50,5 @@ def _sha256(path: Path) -> str:
 def test_workload_outputs_match_golden_digests(tmp_path, name):
     overrides = bench.prepare_inputs(WORKLOADS[name], SEED, tmp_path)
     out = tmp_path / "out"
-    assert main(["run", *overrides, f"output_dir={out}"]) == 0
+    assert main(["run", *(f"--{o}" for o in overrides), f"--output_dir={out}"]) == 0
     assert (_sha256(out / "metrics.csv"), _sha256(out / "checkpoint.ckpt")) == GOLDEN[name]
